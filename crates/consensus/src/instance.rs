@@ -326,7 +326,7 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
             batch.store_value(&keys::consensus_accepted(self.instance), accepted);
         }
         if !batch.is_empty() {
-            let _ = ctx.storage().commit_batch(batch); // xlint:allow(B2) — staged view: this merges into the step batch; the single barrier is still paid in StepContext::finish
+            let _ = ctx.storage().commit_batch(batch); // xlint:allow(B2) — staged view: this merges into the enclosing scope's batch, whose StepContext::finish pays the one barrier (per step in the simulator, per worker group on sockets)
         }
     }
 

@@ -36,6 +36,7 @@ use abcast_storage::{
     keys, FullSetLogger, IncrementalSetLogger, SetLogger, SnapshotDeltaPolicy, StorageKey,
     TypedStorageExt, WriteBatch,
 };
+use abcast_types::codec::{from_payload, to_payload, Encode};
 use abcast_types::{
     AppMessage, LoggingPolicy, MsgId, Payload, ProcessId, ProtocolConfig, Result, Round, SimTime,
 };
@@ -503,8 +504,12 @@ impl AtomicBroadcast {
     /// via the Section 5.5 optimisation): normally one delta record holding
     /// only the messages delivered since the previous checkpoint; a full
     /// snapshot (which truncates the delta log) when the
-    /// [`SnapshotDeltaPolicy`] schedules one or the delta cannot be
-    /// expressed.  When nothing changed, nothing is written at all.
+    /// [`SnapshotDeltaPolicy`] schedules one, when the delta chain already
+    /// holds a snapshot's bytes, or when the delta cannot be expressed.
+    /// With application checkpoints the snapshot is about one delta long,
+    /// so the chain stays a record or two long; without them the snapshot
+    /// is the whole history and the count cap decides.  When nothing
+    /// changed, nothing is written at all.
     ///
     /// Invariant relied upon for the delta path: every message not yet
     /// covered by a persisted record sits at the *tail* of the explicit
@@ -521,28 +526,28 @@ impl AtomicBroadcast {
         let total = self.agreed.total_delivered();
         let explicit = self.agreed.messages();
         let new_messages = total.saturating_sub(self.agreed_policy.persisted_units()) as usize;
-        if self.agreed_policy.needs_snapshot(total) || new_messages > explicit.len() {
-            let record = (self.kp, self.agreed.clone());
-            let mut batch = WriteBatch::new();
-            batch.store_value(&keys::agreed_checkpoint(), &record);
-            batch.remove(&keys::agreed_delta());
-            let _ = ctx.storage().commit_batch(batch); // xlint:allow(B2) — staged view: this merges into the step batch; the single barrier is still paid in StepContext::finish
-            self.agreed_policy.note_snapshot(total);
-            self.persisted_round = self.kp;
-            self.metrics.agreed_snapshots_logged += 1;
-            self.metrics.agreed_checkpoints_logged += 1;
-        } else if new_messages > 0 || self.kp != self.persisted_round {
-            let tail: Vec<AppMessage> = explicit[explicit.len() - new_messages..].to_vec(); // xlint:allow(Z1) — the delta record needs an owned tail; each AppMessage clones a refcounted Bytes handle
-            let _ = ctx
-                .storage()
-                .append_value(&keys::agreed_delta(), &(self.kp, tail));
-            self.agreed_policy.note_delta(total);
-            self.persisted_round = self.kp;
-            self.metrics.agreed_delta_records_logged += 1;
-            self.metrics.agreed_checkpoints_logged += 1;
+        let forced = self.agreed_policy.needs_snapshot(total) || new_messages > explicit.len();
+        if !forced && new_messages == 0 && self.kp == self.persisted_round {
+            // Unchanged since the previous checkpoint: the write is saved
+            // entirely (Section 5.5).
+            return;
         }
-        // Unchanged since the previous checkpoint: the write is saved
-        // entirely (Section 5.5).
+        let snapshot = (self.kp, &self.agreed);
+        if forced || self.agreed_policy.chain_outweighs(snapshot.encoded_len()) {
+            let mut batch = WriteBatch::new();
+            batch.store_value(&keys::agreed_checkpoint(), &snapshot);
+            batch.remove(&keys::agreed_delta());
+            let _ = ctx.storage().commit_batch(batch); // xlint:allow(B2) — staged view: this merges into the enclosing scope's batch, whose StepContext::finish pays the one barrier (per step in the simulator, per worker group on sockets)
+            self.agreed_policy.note_snapshot(total);
+            self.metrics.agreed_snapshots_logged += 1;
+        } else {
+            let record = to_payload(&(self.kp, &explicit[explicit.len() - new_messages..]));
+            let _ = ctx.storage().append(&keys::agreed_delta(), &record);
+            self.agreed_policy.note_delta(total, record.len());
+            self.metrics.agreed_delta_records_logged += 1;
+        }
+        self.persisted_round = self.kp;
+        self.metrics.agreed_checkpoints_logged += 1;
     }
 
     fn persist_everything(&mut self, ctx: &mut dyn ActorContext<AbcastMsg>) {
@@ -731,19 +736,16 @@ impl AtomicBroadcast {
                 self.agreed = agreed;
                 recovered_any = true;
             }
-            let mut replayed_deltas = 0u64;
-            {
-                let deltas = ctx
-                    .storage()
-                    .load_log_values::<(Round, Vec<AppMessage>)>(&keys::agreed_delta())?;
-                for (round, msgs) in deltas {
-                    self.agreed.append_in_order(&msgs);
-                    if round > self.kp {
-                        self.kp = round;
-                    }
-                    replayed_deltas += 1;
-                    recovered_any = true;
+            let deltas = ctx.storage().load_log(&keys::agreed_delta())?;
+            let mut replayed_bytes = 0u64;
+            for record in &deltas {
+                let (round, msgs): (Round, Vec<AppMessage>) = from_payload(record)?;
+                self.agreed.append_in_order(&msgs);
+                if round > self.kp {
+                    self.kp = round;
                 }
+                replayed_bytes += record.len() as u64;
+                recovered_any = true;
             }
             if recovered_any {
                 // The local application must be rebuilt from the recovered
@@ -756,8 +758,11 @@ impl AtomicBroadcast {
                     self.pending_deliveries
                         .push(DeliveryEvent::Deliver(m.clone()));
                 }
-                self.agreed_policy
-                    .note_recovered(self.agreed.total_delivered(), replayed_deltas);
+                self.agreed_policy.note_recovered(
+                    self.agreed.total_delivered(),
+                    deltas.len() as u64,
+                    replayed_bytes,
+                );
                 self.persisted_round = self.kp;
                 // The recovered queue may carry pre-crash compaction holes
                 // this process no longer knows about: only counts at or
@@ -1192,7 +1197,9 @@ impl AtomicBroadcast {
 /// of one event-handling step are committed with a single durability
 /// barrier, and outgoing messages are released only after that commit —
 /// one fsync per step instead of one per logged variable, with the
-/// write-ahead ordering the protocol's recovery argument depends on.  A
+/// write-ahead ordering the protocol's recovery argument depends on.  (A
+/// runtime may nest many steps in one enclosing scope — the socket worker
+/// does, per drained group — and then that scope pays the barrier.)  A
 /// failed commit suppresses the step's messages and fail-stops the process
 /// (see [`AtomicBroadcast::is_halted`]); a halted process ignores every
 /// subsequent event until it is crashed and recovered.
@@ -2244,6 +2251,69 @@ mod tests {
         let order: Vec<MsgId> =
             recovered.delivered_messages().iter().map(AppMessage::id).collect();
         assert_eq!(order, vec![m0.id(), m1.id()], "delta replay keeps delivery order");
+    }
+
+    #[test]
+    fn the_delta_chain_only_grows_while_smaller_than_a_snapshot() {
+        // The alternative protocol compacts `Agreed` at every checkpoint,
+        // so the snapshot is about one delta long: the byte rule may extend
+        // the delta log only while it holds less than one snapshot's bytes
+        // — across recoveries too — and the log must still replay exactly.
+        let mut ctx = ctx_for(0, 3);
+        let mut actor = alternative_actor();
+        actor.on_start(&mut ctx);
+        let chain_bytes = |ctx: &Ctx| -> usize {
+            let log = ctx.storage().load_log(&keys::agreed_delta()).unwrap();
+            log.iter().map(|record| record.len()).sum()
+        };
+        let mut sequence: Vec<MsgId> = Vec::new();
+        let mut next_seq = [0u64; 3];
+        for checkpoint in 0..60u64 {
+            if checkpoint == 25 || checkpoint == 40 {
+                // Crash and recover: the chain's byte count must survive.
+                actor = alternative_actor();
+                actor.on_start(&mut ctx);
+            }
+            for _ in 0..checkpoint % 4 + 1 {
+                let k = sequence.len() as u64;
+                let sender = (k % 3) as usize;
+                let m = AppMessage::from_parts(
+                    ProcessId::new(sender as u32),
+                    next_seq[sender],
+                    vec![k as u8; 16 + (k % 7) as usize],
+                );
+                next_seq[sender] += 1;
+                sequence.push(m.id());
+                actor.on_message(ProcessId::new(1), decided(k, vec![m]), &mut ctx);
+            }
+            let snapshot_len = (actor.round(), actor.agreed()).encoded_len();
+            let before = chain_bytes(&ctx);
+            actor.on_timer(CHECKPOINT_TIMER, &mut ctx);
+            let after = chain_bytes(&ctx);
+            assert!(
+                after == 0 || before < snapshot_len,
+                "checkpoint {checkpoint}: extended a {before}-byte delta log that already \
+                 held the {snapshot_len}-byte snapshot's worth (now {after} bytes)"
+            );
+        }
+        let metrics = actor.metrics();
+        assert!(metrics.agreed_delta_records_logged >= 5, "{metrics:?}");
+        assert!(metrics.agreed_snapshots_logged >= 5, "{metrics:?}");
+
+        let mut recovered = alternative_actor();
+        let mut ctx2: Ctx =
+            ScriptedContext::new(ProcessId::new(0), 3).with_storage(ctx.storage_handle());
+        recovered.on_start(&mut ctx2);
+        assert_eq!(recovered.round(), Round::new(sequence.len() as u64));
+        let agreed = recovered.agreed();
+        assert_eq!(agreed.total_delivered(), sequence.len() as u64);
+        let explicit: Vec<MsgId> = agreed.messages().iter().map(AppMessage::id).collect();
+        let (compacted, tail) = sequence.split_at(sequence.len() - explicit.len());
+        assert_eq!(explicit, tail, "the replayed explicit part is the sequence's tail");
+        assert!(
+            compacted.iter().all(|id| agreed.checkpoint().vc.contains(*id)),
+            "and the checkpoint covers exactly the rest"
+        );
     }
 
     #[test]

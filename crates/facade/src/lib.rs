@@ -44,7 +44,7 @@ pub use abcast_core::{
     ProtocolConfig, TcpCluster,
 };
 pub use abcast_net::{
-    Actor, ActorContext, FramedActor, LinkConfig, TcpConfig, TcpRuntime, ThreadRuntime, TimerId,
+    Actor, ActorContext, FramedActor, LinkConfig, TcpConfig, TcpRuntime, TimerId,
 };
 pub use abcast_replication::{Bank, CertifyingDatabase, KvCommand, KvStore, Replica, Transaction};
 pub use abcast_sim::{FaultPlan, SimConfig, Simulation};

@@ -7,7 +7,7 @@
 //! handlers run to completion one at a time.  This gives the paper's
 //! atomicity for free and makes the protocol runnable both under the
 //! deterministic discrete-event simulator (`abcast-sim`) and under the
-//! thread-based runtime ([`crate::runtime::ThreadRuntime`]).
+//! socket runtime ([`crate::tcp::TcpRuntime`]).
 //!
 //! Crash-recovery semantics are owned by the *runtime*, not the actor: on a
 //! crash the runtime simply drops the actor value (volatile memory is lost,

@@ -1,10 +1,10 @@
-//! Per-step write batching: one durability barrier per handler invocation.
+//! Write batching: one durability barrier per batching scope.
 //!
 //! The paper counts log operations because each one pays a stable-storage
 //! barrier; in this codebase a single event-handler step (an `A-broadcast`,
 //! one incoming consensus message, one checkpoint tick) can issue several
 //! `store`/`append` calls across protocol layers.  [`StepContext`] wraps an
-//! [`ActorContext`] so that, for the duration of one step,
+//! [`ActorContext`] so that, for the duration of one scope,
 //!
 //! * every storage write is staged into one [`WriteBatch`]
 //!   (via [`abcast_storage::StagedStorage`], reads see the staged state);
@@ -13,9 +13,16 @@
 //! and [`StepContext::finish`] then **commits the batch first and flushes
 //! the messages second**.  This preserves the protocol's write-ahead
 //! discipline — a value is on stable storage before any message referring
-//! to it leaves the process — while paying a single barrier per step
+//! to it leaves the process — while paying a single barrier per scope
 //! instead of one per write (on backends that support group commit; the
 //! plain file backend still pays per operation).
+//!
+//! Scopes nest: a handler's own [`run_step`] scope commits *into* an
+//! enclosing one, so the barrier lands wherever the outermost scope
+//! finishes.  In the simulator that is the handler itself — one barrier
+//! per step.  On sockets the `TcpRuntime` worker opens one scope around a
+//! whole drained group of queued inputs and due timers — one barrier per
+//! group, however many steps it ran.
 //!
 //! Timer operations and reads pass through immediately; only effects with
 //! ordering requirements (writes, sends) are deferred.
@@ -34,10 +41,14 @@ enum Effect<M> {
     Multisend(M),
 }
 
-/// An [`ActorContext`] wrapper that batches one step's storage writes into
+/// An [`ActorContext`] wrapper that batches one scope's storage writes into
 /// a single commit and holds outgoing messages back until that commit.
-pub struct StepContext<'a, M> {
-    inner: &'a mut dyn ActorContext<M>,
+///
+/// `C` is the wrapped context; handlers see the scope only as a
+/// `dyn ActorContext`, while the socket worker, which keeps one scope open
+/// across a whole group, also reaches its own context through it.
+pub struct StepContext<'a, M, C: ActorContext<M> + ?Sized = dyn ActorContext<M> + 'a> {
+    inner: &'a mut C,
     /// The staging view, created lazily on first storage access: the
     /// wrapper runs around *every* handler invocation, and many steps (a
     /// gossip tick, most consensus messages) never touch storage at all —
@@ -48,13 +59,54 @@ pub struct StepContext<'a, M> {
     effects: Vec<Effect<M>>,
 }
 
-impl<'a, M> StepContext<'a, M> {
+impl<'a, M, C: ActorContext<M> + ?Sized> StepContext<'a, M, C> {
     /// Opens a batching scope over `inner`.
-    pub fn new(inner: &'a mut dyn ActorContext<M>) -> Self {
+    pub fn new(inner: &'a mut C) -> Self {
         StepContext {
             inner,
             staged: OnceCell::new(),
             effects: Vec::new(),
+        }
+    }
+
+    /// The wrapped context, for the scope's owner only: writes and sends
+    /// made on it directly bypass the staging.
+    pub(crate) fn inner_mut(&mut self) -> &mut C {
+        self.inner
+    }
+
+    /// Whether the scope is holding back any outgoing message.
+    pub(crate) fn holds_messages(&self) -> bool {
+        !self.effects.is_empty()
+    }
+
+    /// The first half of [`StepContext::finish`], for a scope owner that
+    /// times its barrier: commits the staged writes and keeps the buffered
+    /// messages, dropping them if the commit fails.  Returns whether a
+    /// barrier was paid.
+    pub(crate) fn commit(&mut self) -> Result<bool> {
+        let Some((staged, _)) = self.staged.get() else {
+            return Ok(false);
+        };
+        let batch = staged.take_pending();
+        if batch.is_empty() {
+            return Ok(false);
+        }
+        if let Err(e) = self.inner.storage().commit_batch(batch) {
+            self.effects.clear();
+            return Err(e);
+        }
+        Ok(true)
+    }
+
+    /// The second half of [`StepContext::finish`]: releases the buffered
+    /// messages in their original order.  Only after a successful commit.
+    pub(crate) fn release(mut self) {
+        for effect in self.effects.drain(..) {
+            match effect {
+                Effect::Send(to, msg) => self.inner.send(to, msg),
+                Effect::Multisend(msg) => self.inner.multisend(msg),
+            }
         }
     }
 
@@ -67,26 +119,13 @@ impl<'a, M> StepContext<'a, M> {
     /// value may not be stable.  The error is returned so the actor can
     /// fail-stop (crash-the-process semantics, not panic-the-simulator).
     pub fn finish(mut self) -> Result<()> {
-        if let Some((staged, _)) = self.staged.get() {
-            let batch = staged.take_pending();
-            if !batch.is_empty() {
-                if let Err(e) = self.inner.storage().commit_batch(batch) {
-                    self.effects.clear();
-                    return Err(e);
-                }
-            }
-        }
-        for effect in self.effects.drain(..) {
-            match effect {
-                Effect::Send(to, msg) => self.inner.send(to, msg),
-                Effect::Multisend(msg) => self.inner.multisend(msg),
-            }
-        }
+        self.commit()?;
+        self.release();
         Ok(())
     }
 }
 
-impl<'a, M> ActorContext<M> for StepContext<'a, M> {
+impl<'a, M, C: ActorContext<M> + ?Sized> ActorContext<M> for StepContext<'a, M, C> {
     fn me(&self) -> ProcessId {
         self.inner.me()
     }

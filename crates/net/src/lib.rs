@@ -6,15 +6,15 @@
 //! provides:
 //!
 //! * [`Actor`] / [`ActorContext`] — the event-driven process abstraction
-//!   shared by the deterministic simulator (`abcast-sim`) and the
-//!   thread-based runtime, including the crash-recovery contract (volatile
-//!   state dropped on crash, `on_start` re-run on recovery);
+//!   shared by the deterministic simulator (`abcast-sim`) and the socket
+//!   runtime, including the crash-recovery contract (volatile state dropped
+//!   on crash, `on_start` re-run on recovery);
 //! * [`MappedContext`] — composition adapter that lets the atomic broadcast
 //!   actor embed consensus and failure-detector components speaking their
 //!   own message types;
-//! * [`StepContext`] / [`run_step`] — per-step write batching: one
-//!   durability barrier per handler invocation, messages held back until
-//!   the commit (group commit with write-ahead ordering preserved);
+//! * [`StepContext`] / [`run_step`] — write batching: one durability
+//!   barrier per scope, messages held back until the commit (one barrier
+//!   per step in the simulator, per drained worker group on sockets);
 //! * [`encode_frame`] / [`decode_frame`] / [`FramedActor`] — byte-level
 //!   wire framing: length-exact frame encoding, zero-copy frame decoding,
 //!   and the adapter that runs any codec-capable actor over `Bytes`
@@ -22,16 +22,15 @@
 //! * [`FrameReassembler`] / [`wire_chunks`] — stream framing: length
 //!   prefixes for vectored writes, zero-copy reassembly of frames out of
 //!   arbitrarily fragmented reads;
-//! * [`TcpRuntime`] / [`TcpConfig`] / [`PeerConn`] — the real socket
-//!   transport: one epoll-backed poller thread owning every reconnecting
-//!   TCP connection, with stream faults mapped back onto the fair-lossy
-//!   model and [`LinkPolicy`] for per-pair outbound delay shaping;
+//! * [`TcpRuntime`] / [`TcpConfig`] / [`PeerConn`] — the live runtime over
+//!   real sockets: group-committing worker threads plus one epoll-backed
+//!   poller thread owning every reconnecting TCP connection, with stream
+//!   faults mapped back onto the fair-lossy model and [`LinkPolicy`] for
+//!   per-pair outbound delay shaping;
 //! * [`poll`] — the minimal readiness layer under it: raw
 //!   `epoll`/`eventfd` bindings, nonblocking connect, and a timer wheel;
 //! * [`LinkConfig`] / [`LinkModel`] — the fair-lossy link model (loss,
 //!   duplication, arbitrary delay, partitions);
-//! * [`ThreadRuntime`] — a live, one-thread-per-process runtime used by the
-//!   runnable examples;
 //! * [`NetworkMetrics`] — transport counters used by the experiments.
 
 #![deny(unsafe_code)]
@@ -43,7 +42,6 @@ pub mod frame;
 pub mod link;
 pub mod metrics;
 pub mod poll;
-pub mod runtime;
 pub mod tcp;
 pub mod testkit;
 
@@ -55,5 +53,4 @@ pub use frame::{
 };
 pub use link::{LinkConfig, LinkModel, PlannedDelivery};
 pub use metrics::{NetworkMetrics, NetworkSnapshot, TcpMetrics, TcpSnapshot};
-pub use runtime::{RuntimeConfig, ThreadRuntime};
 pub use tcp::{Activity, LinkPolicy, PeerConn, TcpConfig, TcpRuntime};

@@ -1,10 +1,19 @@
-//! Real TCP socket transport behind the frame codec.
+//! Real TCP socket transport behind the frame codec: the live runtime.
 //!
-//! [`crate::runtime::ThreadRuntime`] moves typed messages over in-process
-//! channels; this module replaces the channels with `std::net` sockets
-//! while keeping the actor-message interface identical, so the whole stack
+//! [`TcpRuntime`] runs the same [`Actor`]s as the deterministic simulator
+//! over `std::net` sockets and real time, so the whole stack
 //! (failure-detector heartbeats, consensus, atomic broadcast, WAL storage)
 //! runs unmodified over a real wire.
+//!
+//! Each worker runs its actor in **groups**: it blocks for one input, then
+//! drains more that are already queued and fires the due timers, all inside
+//! one [`StepContext`] — one storage commit (one fsync on a WAL) for the
+//! whole group, then every frame the group produced, in order.  The actor's
+//! own per-step scopes nest into the group's, so write-ahead order holds
+//! across the group: nothing leaves before the shared barrier.  A group
+//! holds a frame for about one barrier's time at most (measured, not
+//! configured), so grouping pays where barriers are dear and stays out of
+//! the way where they are nearly free.
 //!
 //! The I/O plane is a **readiness-based event loop**: [`TcpRuntime`] runs
 //! one worker thread per process (the actors) plus a single *poller*
@@ -66,6 +75,7 @@ use abcast_storage::{SharedStorage, StorageRegistry};
 use abcast_types::{ProcessId, ProcessSet, SimDuration, SimTime};
 
 use crate::actor::{Actor, ActorContext, TimerId};
+use crate::batch::StepContext;
 use crate::frame::{wire_chunks, FrameReassembler, FrameStreamError, DEFAULT_MAX_FRAME_LEN};
 use crate::metrics::{NetworkMetrics, TcpMetrics};
 use crate::poll::{connect_nonblocking, take_connect_error, Epoll, Events, Interest, PollEvent, TimerWheel, WakeFd};
@@ -384,17 +394,31 @@ type InvokeFn<A> =
 type Channel<A> = (Sender<Input<A>>, Receiver<Input<A>>);
 
 enum Input<A: Actor> {
+    /// A frame from a peer (or a self-send); joins the worker's group.
     Message {
         from: ProcessId,
         msg: A::Msg,
     },
+    /// An application request; joins the worker's group.
     ClientRequest(Bytes),
+    /// An operator input; finishes the open group before it runs.
+    Control(Control<A>),
+}
+
+/// Operator inputs.  Each one first finishes the worker's open group, so
+/// nothing it does or observes depends on writes that are not yet durable.
+enum Control<A: Actor> {
     Crash,
     Recover,
     Inspect(Box<dyn FnOnce(&A) + Send>),
     Invoke(InvokeFn<A>),
     Shutdown,
 }
+
+/// Most already-queued inputs a worker drains into one group behind the
+/// input that woke it: bounds a group's staged batch, and how long an
+/// operator input waits, when the group holds no frame to cut it short.
+const MAX_GROUP_INPUTS: usize = 64;
 
 /// Commands from worker threads (and the harness) into the poller.
 enum PollCmd {
@@ -455,10 +479,10 @@ impl PollWaker {
 /// one byte-framed [`Actor`] on its own thread, with all socket I/O on a
 /// single poller thread.
 ///
-/// Mirrors [`crate::runtime::ThreadRuntime`]'s operator controls (crash,
-/// recover, inspect, client requests) and adds connection-level fault
-/// injection ([`TcpRuntime::sever_link`], [`TcpRuntime::sever_process`])
-/// and per-pair link shaping ([`TcpRuntime::set_link_policy`]).
+/// Operator controls (crash, recover, inspect, invoke, client requests)
+/// plus connection-level fault injection ([`TcpRuntime::sever_link`],
+/// [`TcpRuntime::sever_process`]) and per-pair link shaping
+/// ([`TcpRuntime::set_link_policy`]).
 pub struct TcpRuntime<A: Actor<Msg = Bytes>> {
     inputs: Vec<Sender<Input<A>>>,
     worker_handles: Vec<JoinHandle<()>>,
@@ -548,18 +572,18 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
                 poll_tx: poll_tx.clone(),
                 waker: waker.clone(),
                 loopback: inputs[index].clone(),
-                receiver,
                 factory: factory.clone(),
                 metrics: metrics.clone(),
                 tcp_metrics: tcp_metrics.clone(),
                 activity: activity.clone(),
                 rng: StdRng::seed_from_u64(config.seed ^ (index as u64).wrapping_mul(0x9E37)),
                 epoch: Instant::now(),
+                barrier: Duration::ZERO,
             };
             worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("abcast-tcp-{me}"))
-                    .spawn(move || worker.run())?,
+                    .spawn(move || worker.run(receiver))?,
             );
         }
 
@@ -627,13 +651,13 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
     /// — process liveness and connection liveness are independent, exactly
     /// like a crashed process whose host keeps accepting packets.
     pub fn crash(&self, p: ProcessId) {
-        let _ = self.sender(p).send(Input::Crash);
+        let _ = self.sender(p).send(Input::Control(Control::Crash));
     }
 
     /// Recovers process `p`: a fresh actor is built and `on_start` runs its
     /// recovery procedure.
     pub fn recover(&self, p: ProcessId) {
-        let _ = self.sender(p).send(Input::Recover);
+        let _ = self.sender(p).send(Input::Control(Control::Recover));
     }
 
     /// Hard-kills every live connection between `a` and `b`, in both
@@ -678,7 +702,9 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
     }
 
     /// Runs `f` against the live actor of process `p` and returns its
-    /// result, or `None` if the process is currently down.
+    /// result, or `None` if the process is currently down.  `f` runs after
+    /// the worker's open group committed, so it never observes state whose
+    /// writes are not yet durable.
     pub fn inspect<R, F>(&self, p: ProcessId, f: F) -> Option<R>
     where
         R: Send + 'static,
@@ -688,7 +714,7 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
         let probe = Box::new(move |actor: &A| {
             let _ = tx.send(f(actor));
         });
-        if self.sender(p).send(Input::Inspect(probe)).is_err() {
+        if self.sender(p).send(Input::Control(Control::Inspect(probe))).is_err() {
             return None;
         }
         rx.recv_timeout(Duration::from_secs(5)).ok()
@@ -697,7 +723,9 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
     /// Runs `f` against the live actor of process `p` *with a full actor
     /// context* — sends it performs go out over the sockets.  This is how
     /// harnesses invoke typed operations (e.g. `A-broadcast`) on a live
-    /// deployment.  Returns `None` if the process is currently down.
+    /// deployment.  Like [`TcpRuntime::inspect`], `f` runs only after the
+    /// open group is durable.  Returns `None` if the process is currently
+    /// down.
     pub fn invoke<R, F>(&self, p: ProcessId, f: F) -> Option<R>
     where
         R: Send + 'static,
@@ -707,7 +735,7 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
         let call = Box::new(move |actor: &mut A, ctx: &mut dyn ActorContext<Bytes>| {
             let _ = tx.send(f(actor, ctx));
         });
-        if self.sender(p).send(Input::Invoke(call)).is_err() {
+        if self.sender(p).send(Input::Control(Control::Invoke(call))).is_err() {
             return None;
         }
         rx.recv_timeout(Duration::from_secs(5)).ok()
@@ -749,7 +777,7 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
         // poller told to stop (so its command channel outlives all
         // senders that are not this handle).
         for sender in &self.inputs {
-            let _ = sender.send(Input::Shutdown);
+            let _ = sender.send(Input::Control(Control::Shutdown));
         }
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
@@ -1615,7 +1643,7 @@ fn handshake_bytes(me: ProcessId) -> Bytes {
 }
 
 // ---------------------------------------------------------------------------
-// Worker event loop (mirrors ThreadRuntime's, with the poller as the wire)
+// Worker event loop: grouped steps, the poller as the wire
 // ---------------------------------------------------------------------------
 
 struct Worker<A: Actor<Msg = Bytes>> {
@@ -1625,19 +1653,27 @@ struct Worker<A: Actor<Msg = Bytes>> {
     poll_tx: Sender<PollCmd>,
     waker: Arc<PollWaker>,
     loopback: Sender<Input<A>>,
-    receiver: Receiver<Input<A>>,
     factory: Arc<dyn Fn(ProcessId, SharedStorage) -> A + Send + Sync>,
     metrics: NetworkMetrics,
     tcp_metrics: TcpMetrics,
     activity: Activity,
     rng: StdRng,
     epoch: Instant,
+    /// How long the last group commit that wrote anything took, frame
+    /// release excluded: the time a group may spend holding frames (zero
+    /// until measured).
+    barrier: Duration,
 }
 
+/// Timer deadlines of the live actor.
+type Timers = BTreeMap<TimerId, SimTime>;
+
 impl<A: Actor<Msg = Bytes>> Worker<A> {
-    fn run(mut self) {
+    /// The event loop.  `inputs` is held outside `self` so a group's scope,
+    /// which borrows the worker, can stay open across `try_recv`.
+    fn run(mut self, inputs: Receiver<Input<A>>) {
         let mut actor = Some((self.factory)(self.me, self.storage.clone()));
-        let mut timers: BTreeMap<TimerId, SimTime> = BTreeMap::new();
+        let mut timers = Timers::new();
         if let Some(a) = actor.as_mut() {
             let mut ctx = self.context(&mut timers);
             a.on_start(&mut ctx);
@@ -1652,94 +1688,155 @@ impl<A: Actor<Msg = Bytes>> Worker<A> {
                 }
                 _ => Duration::from_millis(50),
             };
-
-            let mut progressed = false;
-            match self.receiver.recv_timeout(wait) {
-                Ok(Input::Message { from, msg }) => {
-                    progressed = true;
-                    if let Some(a) = actor.as_mut() {
-                        self.metrics.record_delivered();
-                        let mut ctx = self.context(&mut timers);
-                        a.on_message(from, msg, &mut ctx);
-                    } else {
-                        self.metrics.record_lost_receiver_down();
-                    }
-                }
-                Ok(Input::ClientRequest(payload)) => {
-                    progressed = true;
-                    if let Some(a) = actor.as_mut() {
-                        let mut ctx = self.context(&mut timers);
-                        a.on_client_request(payload, &mut ctx);
-                    }
-                }
-                Ok(Input::Crash) => {
-                    progressed = true;
-                    actor = None;
-                    timers.clear();
-                }
-                Ok(Input::Recover) => {
-                    progressed = true;
-                    if actor.is_none() {
-                        let mut fresh = (self.factory)(self.me, self.storage.clone());
-                        let mut ctx = self.context(&mut timers);
-                        fresh.on_start(&mut ctx);
-                        actor = Some(fresh);
-                    }
-                }
-                Ok(Input::Inspect(probe)) => {
-                    // Pure read: no epoch bump, so Activity waiters are
-                    // never woken by their own probes.
-                    if let Some(a) = actor.as_ref() {
-                        probe(a);
-                    }
-                }
-                Ok(Input::Invoke(call)) => {
-                    progressed = true;
-                    if let Some(a) = actor.as_mut() {
-                        let mut ctx = self.context(&mut timers);
-                        call(a, &mut ctx);
-                    }
-                }
-                Ok(Input::Shutdown) => break,
-                Err(RecvTimeoutError::Timeout) => {}
+            let first = match inputs.recv_timeout(wait) {
+                Ok(input) => Some(input),
+                Err(RecvTimeoutError::Timeout) => None,
                 Err(RecvTimeoutError::Disconnected) => break,
+            };
+            let (control, mut progressed) = self.run_group(&mut actor, &mut timers, &inputs, first);
+            match control {
+                Some(Control::Shutdown) => break,
+                Some(control) => progressed |= self.run_control(control, &mut actor, &mut timers),
+                None => {}
             }
-
-            // Fire due timers.
-            if let Some(a) = actor.as_mut() {
-                loop {
-                    let now = self.now();
-                    let due: Vec<TimerId> = timers
-                        .iter()
-                        .filter(|(_, deadline)| **deadline <= now)
-                        .map(|(id, _)| *id)
-                        .collect();
-                    if due.is_empty() {
-                        break;
-                    }
-                    progressed = true;
-                    for id in due {
-                        timers.remove(&id);
-                        let mut ctx = self.context(&mut timers);
-                        a.on_timer(id, &mut ctx);
-                    }
-                }
-            }
-
             if progressed {
                 self.activity.bump();
             }
         }
     }
 
+    /// Runs one group: `first`, then queued messages and client requests,
+    /// then every due timer — all in one [`StepContext`], committed once.
+    ///
+    /// Draining stops at the first operator input (returned, to run after
+    /// the commit), after [`MAX_GROUP_INPUTS`], or when the next input —
+    /// guessed to cost what the last one did — would keep the group's
+    /// first held frame waiting longer than the last barrier took.  A frame
+    /// thus waits about one barrier longer than under a barrier per step at
+    /// most, so grouping pays where barriers are dear — a WAL's fsync — and
+    /// stays out of the way where they are nearly free or handlers slow.
+    /// A failed commit has already dropped the group's frames and crashes
+    /// the process.  Also returns whether any handler ran.
+    fn run_group(
+        &mut self,
+        actor: &mut Option<A>,
+        timers: &mut Timers,
+        inputs: &Receiver<Input<A>>,
+        first: Option<Input<A>>,
+    ) -> (Option<Control<A>>, bool) {
+        let hold_budget = self.barrier;
+        let mut ctx = self.context(timers);
+        let mut group = StepContext::new(&mut ctx);
+        let mut control = None;
+        let mut progressed = false;
+        let mut next = first;
+        let mut drained = 0;
+        let mut holding_since: Option<Instant> = None;
+        while let Some(input) = next.take() {
+            let input_started = Instant::now();
+            match input {
+                Input::Message { from, msg } => {
+                    progressed = true;
+                    let worker_ctx = group.inner_mut();
+                    match actor.as_mut() {
+                        Some(a) => {
+                            worker_ctx.worker.metrics.record_delivered();
+                            worker_ctx.restart_clock();
+                            a.on_message(from, msg, &mut group);
+                        }
+                        None => worker_ctx.worker.metrics.record_lost_receiver_down(),
+                    }
+                }
+                Input::ClientRequest(payload) => {
+                    progressed = true;
+                    if let Some(a) = actor.as_mut() {
+                        group.inner_mut().restart_clock();
+                        a.on_client_request(payload, &mut group);
+                    }
+                }
+                Input::Control(c) => {
+                    control = Some(c);
+                    break;
+                }
+            }
+            let now = Instant::now();
+            if holding_since.is_none() && group.holds_messages() {
+                holding_since = Some(now);
+            }
+            // The next input is guessed to cost what this one did.
+            let next_done = now + (now - input_started);
+            let within_budget = holding_since.is_none_or(|since| next_done - since < hold_budget);
+            if drained < MAX_GROUP_INPUTS && within_budget {
+                drained += 1;
+                next = inputs.try_recv().ok();
+            }
+        }
+        if let Some(a) = actor.as_mut() {
+            while let Some(timer) = group.inner_mut().pop_due_timer() {
+                progressed = true;
+                a.on_timer(timer, &mut group);
+            }
+        }
+        let started = Instant::now();
+        match group.commit() {
+            Ok(paid) => {
+                let took = started.elapsed();
+                group.release();
+                if paid {
+                    self.barrier = took;
+                }
+            }
+            Err(_) => {
+                // The group's writes may not be stable, so what its frames
+                // announce may not survive a crash: they were dropped, and
+                // the process fail-stops — a crash, in the model's own terms.
+                *actor = None;
+                timers.clear();
+            }
+        }
+        (control, progressed)
+    }
+
+    /// Runs one operator input against a committed state.  Returns whether
+    /// it counts as progress for [`Activity`] waiters (a pure inspection
+    /// does not, so waiters are never woken by their own probes).
+    fn run_control(&mut self, control: Control<A>, actor: &mut Option<A>, timers: &mut Timers) -> bool {
+        match control {
+            Control::Crash => {
+                *actor = None;
+                timers.clear();
+            }
+            Control::Recover => {
+                if actor.is_none() {
+                    let mut fresh = (self.factory)(self.me, self.storage.clone());
+                    let mut ctx = self.context(timers);
+                    fresh.on_start(&mut ctx);
+                    *actor = Some(fresh);
+                }
+            }
+            Control::Inspect(probe) => {
+                if let Some(a) = actor.as_ref() {
+                    probe(a);
+                }
+                return false;
+            }
+            Control::Invoke(call) => {
+                if let Some(a) = actor.as_mut() {
+                    let mut ctx = self.context(timers);
+                    call(a, &mut ctx);
+                }
+            }
+            // The event loop exits on it before getting here.
+            Control::Shutdown => {}
+        }
+        true
+    }
+
     fn now(&self) -> SimTime {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    fn context<'a>(
-        &'a mut self,
-        timers: &'a mut BTreeMap<TimerId, SimTime>,
-    ) -> TcpWorkerContext<'a, A> {
+    fn context<'a>(&'a mut self, timers: &'a mut Timers) -> TcpWorkerContext<'a, A> {
         let now = self.now();
         TcpWorkerContext {
             worker: self,
@@ -1751,11 +1848,26 @@ impl<A: Actor<Msg = Bytes>> Worker<A> {
 
 struct TcpWorkerContext<'a, A: Actor<Msg = Bytes>> {
     worker: &'a mut Worker<A>,
-    timers: &'a mut BTreeMap<TimerId, SimTime>,
+    timers: &'a mut Timers,
+    /// The handler clock: fixed while one handler runs, restarted before
+    /// each handler of a group.
     now: SimTime,
 }
 
 impl<'a, A: Actor<Msg = Bytes>> TcpWorkerContext<'a, A> {
+    fn restart_clock(&mut self) {
+        self.now = self.worker.now();
+    }
+
+    /// Restarts the clock and removes the first timer due by it.
+    fn pop_due_timer(&mut self) -> Option<TimerId> {
+        self.restart_clock();
+        let now = self.now;
+        let (&timer, _) = self.timers.iter().find(|(_, deadline)| **deadline <= now)?;
+        self.timers.remove(&timer);
+        Some(timer)
+    }
+
     fn transmit(&mut self, to: ProcessId, frame: Bytes) {
         self.worker.metrics.record_sent();
         if to == self.worker.me {
@@ -2107,6 +2219,159 @@ mod tests {
         }
         // The workers kept running (sends never blocked on the full queue).
         assert!(runtime.inspect(p0, |a| a.sent).unwrap() > 0);
+        runtime.shutdown();
+    }
+
+    /// A timer-free actor for the group-commit tests: each client request
+    /// logs itself under its own key, and one starting with `"send"` also
+    /// multisends a frame; `"block"` instead stalls the worker so the
+    /// requests behind it pile up.
+    #[derive(Default)]
+    struct Logger {
+        handled: u64,
+        received: u64,
+    }
+
+    const BLOCK: &[u8] = b"block";
+
+    impl Actor for Logger {
+        type Msg = Bytes;
+
+        fn on_start(&mut self, _ctx: &mut dyn ActorContext<Bytes>) {}
+
+        fn on_message(&mut self, _from: ProcessId, _frame: Bytes, _ctx: &mut dyn ActorContext<Bytes>) {
+            self.received += 1;
+        }
+
+        fn on_timer(&mut self, _timer: TimerId, _ctx: &mut dyn ActorContext<Bytes>) {}
+
+        fn on_client_request(&mut self, payload: Bytes, ctx: &mut dyn ActorContext<Bytes>) {
+            self.handled += 1;
+            if payload.as_ref() == BLOCK {
+                std::thread::sleep(Duration::from_millis(100));
+                return;
+            }
+            let key = StorageKey::new(String::from_utf8_lossy(&payload).into_owned());
+            ctx.storage().store(&key, &payload).unwrap();
+            if payload.starts_with(b"send") {
+                ctx.multisend(encode_frame(&self.handled));
+            }
+        }
+    }
+
+    fn start_logger(storage: StorageRegistry) -> TcpRuntime<Logger> {
+        let n = storage.len();
+        let runtime: TcpRuntime<Logger> =
+            TcpRuntime::start(n, storage, TcpConfig::default(), |_, _| Logger::default()).unwrap();
+        // Frames sent before the dials land could be dropped as fair-lossy
+        // loss; the tests below count frames, so wait for the links.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runtime.tcp_metrics().snapshot().connections_established < (n * (n - 1)) as u64 {
+            assert!(Instant::now() < deadline, "connections must establish");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        runtime
+    }
+
+    /// Queues `"block"` and then `k` requests `"{prefix}{i}"` at `p`: all of
+    /// them sit in the worker's queue while it stalls.
+    fn queue_behind_a_busy_worker(runtime: &TcpRuntime<Logger>, p: ProcessId, prefix: &str, k: usize) {
+        runtime.client_request(p, BLOCK);
+        for i in 0..k {
+            runtime.client_request(p, format!("{prefix}{i}").into_bytes());
+        }
+    }
+
+    /// Queues the requests, waits until all are handled, and returns the
+    /// barriers they paid.
+    fn barriers_for(runtime: &TcpRuntime<Logger>, prefix: &str, k: usize) -> u64 {
+        let p0 = ProcessId::new(0);
+        let storage = runtime.storage().storage_for(p0).unwrap();
+        let before = storage.metrics().snapshot();
+        let target = runtime.inspect(p0, |a| a.handled).unwrap() + k as u64 + 1;
+        queue_behind_a_busy_worker(runtime, p0, prefix, k);
+        let handled = runtime.wait_for(p0, Duration::from_secs(5), move |a| {
+            (a.handled == target).then_some(())
+        });
+        assert!(handled.is_some(), "every queued request must be handled");
+        let writes = storage.metrics().snapshot().since(&before);
+        assert_eq!(writes.store_ops, k as u64);
+        writes.sync_ops
+    }
+
+    #[test]
+    fn inputs_queued_behind_a_busy_worker_commit_under_one_barrier() {
+        let runtime = start_logger(StorageRegistry::in_memory(1));
+        assert_eq!(barriers_for(&runtime, "k", 16), 1, "16 queued steps share one group barrier");
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn a_group_holds_frames_no_longer_than_a_barrier() {
+        // Before any barrier was measured the budget is zero, and a memory
+        // barrier costs microseconds: a group is cut right after the first
+        // step that holds a frame, so frames never wait out a long group
+        // where grouping saves nothing.
+        let runtime = start_logger(StorageRegistry::in_memory(1));
+        let barriers = barriers_for(&runtime, "send", 16);
+        assert!(barriers > 1, "frame-holding steps must not all wait for one barrier");
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn a_probe_queued_behind_writes_runs_after_they_are_durable() {
+        let runtime = start_logger(StorageRegistry::in_memory(1));
+        let p0 = ProcessId::new(0);
+        let storage = runtime.storage().storage_for(p0).unwrap();
+
+        queue_behind_a_busy_worker(&runtime, p0, "k", 4);
+        let durable = storage.clone();
+        let seen = runtime.inspect(p0, move |_| {
+            let value = durable.load(&StorageKey::new("k3")).unwrap();
+            (value, durable.metrics().snapshot().sync_ops)
+        });
+        let (value, syncs) = seen.expect("p0 is up");
+        assert_eq!(value.as_deref(), Some(&b"k3"[..]), "inspect sees the group's writes on disk");
+        assert_eq!(syncs, 1, "and they were committed once, before the probe ran");
+
+        // `invoke` gets the raw storage handle: a staged write would be
+        // invisible through it, so seeing the value proves the commit.
+        queue_behind_a_busy_worker(&runtime, p0, "j", 4);
+        let key = StorageKey::new("j3");
+        let value = runtime.invoke(p0, move |_, ctx| ctx.storage().load(&key).unwrap());
+        assert_eq!(value.flatten().as_deref(), Some(&b"j3"[..]));
+        assert_eq!(storage.metrics().snapshot().sync_ops, 2);
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn a_failed_group_commit_sends_nothing_and_crashes_the_process() {
+        use abcast_storage::{FaultSchedule, FaultyStorage, InMemoryStorage, WriteFaultKind};
+        let faulty: SharedStorage = Arc::new(FaultyStorage::new(
+            Arc::new(InMemoryStorage::new()),
+            FaultSchedule::new().write_fault(0, WriteFaultKind::DiskFull),
+        ));
+        let healthy: SharedStorage = Arc::new(InMemoryStorage::new());
+        let runtime = start_logger(StorageRegistry::new(vec![faulty, healthy]));
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+
+        // The first group's commit hits the disk-full.
+        queue_behind_a_busy_worker(&runtime, p0, "send", 3);
+        assert!(
+            runtime.inspect(p0, |a| a.handled).is_none(),
+            "a failed group commit crashes the process"
+        );
+        assert!(runtime.inspect(p0, |a| a.handled).is_none(), "and it stays down");
+
+        runtime.recover(p0);
+        assert_eq!(runtime.inspect(p0, |a| a.handled), Some(0), "recovery builds a fresh actor");
+        runtime.client_request(p0, &b"send-after"[..]);
+        let received = runtime.wait_for(p1, Duration::from_secs(5), |a| {
+            (a.received > 0).then_some(a.received)
+        });
+        // p0 → p1 is one FIFO stream: had a frame of the failed group
+        // left, it would have arrived before this one.
+        assert_eq!(received, Some(1), "no frame of the failed group reached a peer");
         runtime.shutdown();
     }
 

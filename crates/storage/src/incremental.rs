@@ -129,28 +129,37 @@ impl<T: Encode + Decode + Ord + Clone> SetLogger<T> for IncrementalSetLogger<T> 
 /// tracks "units persisted so far" (for the `Agreed` queue: messages ever
 /// delivered) and asks the policy whether the next persist must be a full
 /// snapshot or may be a delta record.  Snapshots are forced
+/// ([`SnapshotDeltaPolicy::needs_snapshot`])
 ///
 /// * the very first time (there is nothing to delta against),
 /// * when the caller invalidated the delta chain (e.g. after adopting a
 ///   state transfer wholesale),
 /// * every `snapshot_every` delta records, bounding replay length, and
 /// * whenever the caller reports that it cannot produce the delta.
+///
+/// Otherwise the sizes decide ([`SnapshotDeltaPolicy::chain_outweighs`]):
+/// once the delta chain holds at least as many bytes as a snapshot would,
+/// the snapshot is written instead of a further delta — it stores no more
+/// than the chain it truncates and replays as one record.  So a chain is
+/// only extended while it is smaller than one snapshot.
 #[derive(Clone, Debug)]
 pub struct SnapshotDeltaPolicy {
     snapshot_every: u64,
     persisted_units: u64,
     deltas_since_snapshot: u64,
+    delta_bytes_since_snapshot: u64,
     snapshot_needed: bool,
 }
 
 impl SnapshotDeltaPolicy {
-    /// Creates a policy that takes a full snapshot every `snapshot_every`
-    /// delta records (at least 1).
+    /// Creates a policy that takes a full snapshot at least every
+    /// `snapshot_every` delta records (at least 1).
     pub fn new(snapshot_every: u64) -> Self {
         SnapshotDeltaPolicy {
             snapshot_every: snapshot_every.max(1),
             persisted_units: 0,
             deltas_since_snapshot: 0,
+            delta_bytes_since_snapshot: 0,
             snapshot_needed: true,
         }
     }
@@ -165,17 +174,30 @@ impl SnapshotDeltaPolicy {
         self.deltas_since_snapshot
     }
 
+    /// Encoded bytes of the delta records appended since the last snapshot.
+    pub fn delta_bytes_since_snapshot(&self) -> u64 {
+        self.delta_bytes_since_snapshot
+    }
+
     /// Marks the delta chain as invalid: the next persist must snapshot.
     pub fn invalidate(&mut self) {
         self.snapshot_needed = true;
     }
 
     /// `true` if the next persist of a value now covering `units` must be
-    /// a full snapshot rather than a delta record.
+    /// a full snapshot rather than a delta record, whatever their sizes.
     pub fn needs_snapshot(&self, units: u64) -> bool {
         self.snapshot_needed
             || units < self.persisted_units
             || self.deltas_since_snapshot >= self.snapshot_every
+    }
+
+    /// `true` once the delta chain holds at least `snapshot_bytes`: a
+    /// snapshot of that size then costs no more than the chain it replaces
+    /// — the byte rule that lets a chain grow only while it is smaller
+    /// than one snapshot.
+    pub fn chain_outweighs(&self, snapshot_bytes: usize) -> bool {
+        snapshot_bytes as u64 <= self.delta_bytes_since_snapshot
     }
 
     /// Records that a full snapshot covering `units` was written: the delta
@@ -183,22 +205,25 @@ impl SnapshotDeltaPolicy {
     pub fn note_snapshot(&mut self, units: u64) {
         self.persisted_units = units;
         self.deltas_since_snapshot = 0;
+        self.delta_bytes_since_snapshot = 0;
         self.snapshot_needed = false;
     }
 
-    /// Records that a delta record raising coverage to `units` was
-    /// appended.
-    pub fn note_delta(&mut self, units: u64) {
+    /// Records that a delta record of `bytes` raising coverage to `units`
+    /// was appended.
+    pub fn note_delta(&mut self, units: u64, bytes: usize) {
         self.persisted_units = units;
         self.deltas_since_snapshot += 1;
+        self.delta_bytes_since_snapshot += bytes as u64;
     }
 
     /// Restores the bookkeeping after a recovery that replayed
-    /// `replayed_deltas` delta records on top of a snapshot, ending at
-    /// `units` covered.
-    pub fn note_recovered(&mut self, units: u64, replayed_deltas: u64) {
+    /// `replayed_deltas` delta records totalling `replayed_bytes` on top of
+    /// a snapshot, ending at `units` covered.
+    pub fn note_recovered(&mut self, units: u64, replayed_deltas: u64, replayed_bytes: u64) {
         self.persisted_units = units;
         self.deltas_since_snapshot = replayed_deltas;
+        self.delta_bytes_since_snapshot = replayed_bytes;
         self.snapshot_needed = false;
     }
 }
@@ -290,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_policy_schedules_snapshots() {
+    fn snapshot_delta_policy_caps_the_chain_by_count() {
         let mut policy = SnapshotDeltaPolicy::new(3);
         // First persist is always a snapshot.
         assert!(policy.needs_snapshot(5));
@@ -300,25 +325,59 @@ mod tests {
         // Then deltas, until the chain reaches the snapshot interval.
         for units in [7, 9, 11] {
             assert!(!policy.needs_snapshot(units));
-            policy.note_delta(units);
+            policy.note_delta(units, 10);
         }
         assert_eq!(policy.deltas_since_snapshot(), 3);
         assert!(policy.needs_snapshot(12), "interval reached");
         policy.note_snapshot(12);
+        assert_eq!(policy.delta_bytes_since_snapshot(), 0);
         assert!(!policy.needs_snapshot(13));
+    }
 
+    #[test]
+    fn snapshot_delta_policy_snapshots_once_the_chain_reaches_the_value() {
+        let mut policy = SnapshotDeltaPolicy::new(100);
+        policy.note_snapshot(1);
+        // A 50-byte value: 20-byte deltas extend the chain while it is
+        // smaller than the value…
+        assert!(!policy.chain_outweighs(50));
+        policy.note_delta(2, 20);
+        assert!(!policy.chain_outweighs(50));
+        policy.note_delta(3, 20);
+        assert!(!policy.chain_outweighs(50));
+        policy.note_delta(4, 20);
+        assert_eq!(policy.delta_bytes_since_snapshot(), 60);
+        // …and once it holds a snapshot's worth (equal sizes included),
+        // the snapshot replaces it.
+        assert!(policy.chain_outweighs(50));
+        assert!(policy.chain_outweighs(60));
+        assert!(!policy.chain_outweighs(61));
+        // The byte rule never forces anything by itself.
+        assert!(!policy.needs_snapshot(5));
+        policy.note_snapshot(5);
+        assert!(!policy.chain_outweighs(1), "a fresh chain holds nothing");
+    }
+
+    #[test]
+    fn snapshot_delta_policy_invalidation_and_recovery() {
+        let mut policy = SnapshotDeltaPolicy::new(3);
+        policy.note_snapshot(13);
         // Invalidating (state transfer adoption) forces a snapshot, and so
         // does coverage moving backwards (history replaced).
         policy.invalidate();
-        assert!(policy.needs_snapshot(13));
-        policy.note_snapshot(13);
+        assert!(policy.needs_snapshot(14));
+        policy.note_snapshot(14);
+        assert!(!policy.needs_snapshot(15));
         assert!(policy.needs_snapshot(2), "units < persisted ⇒ snapshot");
 
-        // Recovery restores the counters.
-        policy.note_recovered(20, 2);
+        // Recovery restores the counters, bytes included.
+        policy.note_recovered(20, 2, 70);
         assert_eq!(policy.persisted_units(), 20);
         assert_eq!(policy.deltas_since_snapshot(), 2);
+        assert_eq!(policy.delta_bytes_since_snapshot(), 70);
         assert!(!policy.needs_snapshot(21));
+        assert!(!policy.chain_outweighs(71));
+        assert!(policy.chain_outweighs(70), "the 70 replayed bytes count toward the rule");
     }
 
     proptest! {

@@ -628,12 +628,27 @@ impl<T: Decode> Decode for Option<T> {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+/// A reference encodes as its referent, so records can be encoded from
+/// borrowed parts without cloning them.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, enc: &mut Encoder) {
+        (**self).encode(enc);
+    }
+}
+
+/// A slice encodes exactly like the `Vec` holding the same items.
+impl<T: Encode> Encode for [T] {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u64(self.len() as u64);
         for item in self {
             item.encode(enc);
         }
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        self.as_slice().encode(enc);
     }
 }
 
@@ -850,6 +865,17 @@ mod tests {
     fn encoded_len_matches_actual_encoding() {
         let v = vec!["abc".to_string(), "defg".to_string()];
         assert_eq!(v.encoded_len(), to_bytes(&v).len());
+    }
+
+    #[test]
+    fn borrowed_parts_encode_like_the_owned_value() {
+        let v = vec![1u64, 2, 3];
+        let owned = (9u64, v.clone());
+        let borrowed = (9u64, &v[1..]);
+        assert_eq!(to_bytes(&(9u64, &v)), to_bytes(&owned));
+        let back: (u64, Vec<u64>) = from_bytes(&to_bytes(&borrowed)).unwrap();
+        assert_eq!(back, (9, vec![2, 3]));
+        assert_eq!(borrowed.encoded_len(), to_bytes(&borrowed).len());
     }
 
     #[test]

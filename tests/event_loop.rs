@@ -6,14 +6,20 @@
 //!
 //! The thread counts are read from `/proc/self/status` (`Threads:`), so
 //! these tests serialize on a shared mutex — another cluster starting in
-//! parallel would shift the baseline.
+//! parallel would shift the baseline.  The file also runs the live
+//! runtime's application paths — raw client requests, a replicated service
+//! across crash and recovery — under the same mutex.
 
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crash_recovery_abcast::core::{ClusterConfig, TcpCluster};
 use crash_recovery_abcast::net::tcp::TcpConfig;
-use crash_recovery_abcast::{ProcessId, StorageRegistry};
+use crash_recovery_abcast::replication::state_machine::StateMachine;
+use crash_recovery_abcast::{
+    ConsensusConfig, FramedActor, KvCommand, KvStore, MsgId, ProcessId, ProtocolConfig, Replica,
+    StorageRegistry, TcpRuntime,
+};
 
 /// Serializes every test that samples the process-wide thread count.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -223,4 +229,79 @@ fn healthy_reconnect_does_not_inherit_storm_backoff() {
          timer: {attempts} counted attempts"
     );
     cluster.shutdown();
+}
+
+/// Raw client requests (the benchmark's submission path, not `invoke`) on
+/// a socket cluster of framed atomic broadcast actors: every process
+/// delivers all of them, in one order, with no undecodable frame.
+#[test]
+fn client_requests_on_sockets_are_ordered_identically() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster =
+        TcpCluster::new(ClusterConfig::alternative(3).with_seed(95)).expect("loopback cluster");
+    let runtime = cluster.runtime();
+    for i in 0..6u8 {
+        runtime.client_request(p(u32::from(i) % 3), vec![i; 4]);
+    }
+    let mut orders: Vec<Vec<MsgId>> = Vec::new();
+    for q in 0..3u32 {
+        let order = runtime.wait_for(p(q), Duration::from_secs(30), |a| {
+            (a.agreed().total_delivered() >= 6)
+                .then(|| a.delivered_messages().iter().map(|m| m.id()).collect())
+        });
+        orders.push(order.unwrap_or_else(|| panic!("p{q} did not deliver in time")));
+    }
+    assert_eq!(orders[0].len(), 6);
+    assert!(orders.iter().all(|order| *order == orders[0]), "orders differ: {orders:?}");
+    assert_eq!(cluster.decode_failures(), 0);
+    cluster.shutdown();
+}
+
+/// A replicated key-value store on sockets: a replica crashed while
+/// writes continue, with its links severed on the way down, recovers and
+/// catches up to the full state.
+#[test]
+fn kv_replica_on_sockets_catches_up_after_crash_and_severed_links() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let n = 3;
+    let runtime: TcpRuntime<FramedActor<Replica<KvStore>>> = TcpRuntime::start(
+        n,
+        StorageRegistry::in_memory(n),
+        TcpConfig::default().with_seed(99),
+        |_p, _s| {
+            FramedActor::new(Replica::new(
+                ProtocolConfig::alternative(),
+                ConsensusConfig::crash_recovery(),
+            ))
+        },
+    )
+    .expect("loopback listeners");
+    let put = |i: u32| KvStore::encode_command(&KvCommand::put(format!("k{i}"), format!("v{i}")));
+
+    for i in 0..5 {
+        runtime.client_request(p(0), put(i));
+    }
+    assert!(
+        runtime
+            .wait_for(p(2), Duration::from_secs(30), |r| (r.state().len() >= 5).then_some(()))
+            .is_some(),
+        "p2 must apply the initial writes"
+    );
+
+    runtime.crash(p(2));
+    runtime.sever_process(p(2));
+    for i in 5..10 {
+        runtime.client_request(p(1), put(i));
+    }
+    runtime.recover(p(2));
+
+    let state = runtime
+        .wait_for(p(2), Duration::from_secs(60), |r| {
+            (r.state().len() >= 10).then(|| r.state().clone())
+        })
+        .expect("recovered replica must catch up");
+    for i in 0..10u32 {
+        assert_eq!(state.get(&format!("k{i}")), Some(format!("v{i}").as_str()));
+    }
+    runtime.shutdown();
 }
