@@ -1,12 +1,14 @@
 //! E16 — Segmented WAL: rotation + background compaction under load.
 //!
 //! The segmented rework of the WAL backend (active segment rotated at a
-//! size threshold, sealed segments merged into a compacted base by a
-//! background worker) makes three promises this experiment measures:
+//! size threshold, sealed segments folded into a compacted base that a
+//! background worker writes from the in-memory view) makes three promises
+//! this experiment measures:
 //!
 //! * **flat fsyncs per message** — rotation adds one durability barrier
-//!   per *segment*, not per commit, so the group-commit amortization is
-//!   preserved as the message count sweeps 10³ → 10⁶;
+//!   per *segment* (plus at most one seal per compaction pass), not per
+//!   commit, so the group-commit amortization is preserved as the message
+//!   count sweeps 10³ → 10⁶;
 //! * **bounded recovery reopen** — with checkpoints bounding the live
 //!   state, compaction bounds the on-disk journal, so reopen (replay)
 //!   time stops growing with history instead of scaling with every

@@ -134,7 +134,6 @@ struct TcpCounters {
     frames_dropped: AtomicU64,
     torn_frames: AtomicU64,
     stream_errors: AtomicU64,
-    reader_panics: AtomicU64,
 }
 
 /// Point-in-time copy of the socket-transport counters.
@@ -163,11 +162,6 @@ pub struct TcpSnapshot {
     /// Connections dropped for unrecoverable stream corruption (oversized
     /// length prefix).
     pub stream_errors: u64,
-    /// Reader threads that died to a panic.  The connection's in-flight
-    /// frame is counted as torn (fair-lossy loss) and the dialer
-    /// reconnects; this counter keeps the pathology visible instead of
-    /// letting the thread die silently.
-    pub reader_panics: u64,
 }
 
 impl TcpSnapshot {
@@ -188,7 +182,6 @@ impl TcpSnapshot {
             frames_dropped: self.frames_dropped.saturating_sub(earlier.frames_dropped),
             torn_frames: self.torn_frames.saturating_sub(earlier.torn_frames),
             stream_errors: self.stream_errors.saturating_sub(earlier.stream_errors),
-            reader_panics: self.reader_panics.saturating_sub(earlier.reader_panics),
         }
     }
 }
@@ -246,16 +239,6 @@ impl TcpMetrics {
         self.inner.stream_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one reader thread killed by a panic.
-    pub fn record_reader_panic(&self) {
-        self.inner.reader_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total reader-thread panics so far.
-    pub fn reader_panics(&self) -> u64 {
-        self.inner.reader_panics.load(Ordering::Relaxed)
-    }
-
     /// Total frames lost to the fair-lossy stream so far.
     pub fn frames_dropped(&self) -> u64 {
         self.inner.frames_dropped.load(Ordering::Relaxed)
@@ -284,7 +267,6 @@ impl TcpMetrics {
             frames_dropped: self.inner.frames_dropped.load(Ordering::Relaxed),
             torn_frames: self.inner.torn_frames.load(Ordering::Relaxed),
             stream_errors: self.inner.stream_errors.load(Ordering::Relaxed),
-            reader_panics: self.inner.reader_panics.load(Ordering::Relaxed),
         }
     }
 }
@@ -307,7 +289,6 @@ mod tests {
         m.record_frame_dropped();
         m.record_torn_frame();
         m.record_stream_error();
-        m.record_reader_panic();
         let s = m.snapshot();
         assert_eq!(s.connections_established, 1);
         assert_eq!(s.connections_accepted, 1);
@@ -318,8 +299,6 @@ mod tests {
         assert_eq!(s.frames_dropped, 1);
         assert_eq!(s.torn_frames, 1);
         assert_eq!(s.stream_errors, 1);
-        assert_eq!(s.reader_panics, 1);
-        assert_eq!(m.reader_panics(), 1);
         assert_eq!(m.frames_dropped(), 1);
         assert_eq!(m.frames_sent(), 2);
         assert_eq!(m.frames_received(), 1);

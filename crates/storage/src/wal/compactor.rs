@@ -1,23 +1,31 @@
 //! The background compaction worker.
 //!
-//! Compaction merges the immutable prefix of the journal — the compacted
+//! Compaction folds the immutable prefix of the journal — the compacted
 //! base plus every sealed segment — into a fresh base holding live records
-//! only, then deletes the segments the new base covers.  The write path
-//! never waits for any of it:
+//! only, then deletes the segments the new base covers.  The live records
+//! come from the in-memory materialized view, not from disk:
 //!
-//! * the worker snapshots the sealed-segment list under the storage lock
-//!   (pointer copies, no I/O), then replays and rewrites entirely
-//!   **lock-free** — every file it touches is immutable, the active
-//!   segment keeps taking group commits concurrently;
-//! * the rewrite goes to a temporary (`p.wal.compact`), is fsynced, and
-//!   the rename onto `p.wal.base` is the commit point; the directory sync
-//!   after it makes the swap durable;
-//! * only then is the storage lock retaken, briefly, to publish the new
-//!   accounting (base size, surviving segments, covered sequence);
+//! * under the storage lock the worker seals the active segment if it
+//!   holds records (the write path's O(1) seal: one fsync, one rename, one
+//!   directory barrier; an empty active segment is left alone, and a pass
+//!   with nothing sealed since the last one is a no-op).  At that instant
+//!   the view is exactly base + every sealed segment, so the worker
+//!   snapshots it — refcount clones of the committed payloads, no I/O —
+//!   and releases the lock;
+//! * the base is then written **lock-free** to a temporary
+//!   (`p.wal.compact`) and fsynced; the rename onto `p.wal.base` is the
+//!   commit point, and the directory sync after it makes the swap
+//!   durable.  Group commits keep landing on the fresh active segment
+//!   throughout;
+//! * the storage lock is retaken, briefly, to publish the new accounting
+//!   (base size, surviving segments, covered sequence);
 //! * covered segment files are deleted last.  A crash between the rename
 //!   and the deletes leaves segment files whose sequence number is at or
 //!   below the base's `covered_seq` header — recovery detects and reaps
 //!   them instead of replaying their records twice.
+//!
+//! Sealed segments are never read again after sealing: a corrupt sealed
+//! segment is detected when the journal is opened, not by compaction.
 //!
 //! The worker thread is spawned lazily on the first compaction request
 //! (journals that never rotate never pay for it) and joined when the
@@ -30,7 +38,7 @@ use std::sync::Arc;
 
 use abcast_types::{AbcastError, Result};
 
-use super::segment::{self, MaterializedState};
+use super::segment;
 use super::WalShared;
 
 /// Compactor coordination flags, guarded by [`WalShared::comp`] and
@@ -141,42 +149,35 @@ fn worker_loop(shared: Arc<WalShared>) {
     }
 }
 
-/// One compaction pass: merge base + sealed segments into a fresh base,
-/// swap it in, reap the covered segment files.
+/// One compaction pass: seal the active segment, write the live view as
+/// a fresh base, swap it in, reap the covered segment files.
 ///
-/// Runs without the storage lock except for two brief critical sections
-/// (snapshot, publish) that do no I/O — the group-commit path proceeds
-/// concurrently throughout.
+/// Holds the storage lock for the seal and the snapshot (one fsync at
+/// most) and again, briefly, to publish; the rewrite runs without it.
 fn compact_pass(shared: &WalShared) -> Result<()> {
-    // Snapshot the immutable prefix: which sealed segments exist, and
-    // whether a base does.  Pointer copies only.
-    let (sealed, have_base) = {
-        let inner = shared.inner.lock();
-        (inner.sealed.clone(), inner.base_bytes > 0)
+    let (sealed, live_ops) = {
+        let mut inner = shared.inner.lock();
+        if inner.sealed.is_empty() {
+            // Nothing sealed since the last pass (requests raised while it
+            // ran saw its inputs still listed).  Sealing a fresh segment
+            // here would chain passes back to back under load.
+            return Ok(());
+        }
+        if inner.active_bytes > 0 {
+            // xlint:allow(L1) — sealing is the write path's O(1) rotation: one fsync + one dir barrier under the lock, never a rewrite; the snapshot after it clones refcounts only
+            super::seal_active(shared, &mut inner)?;
+        }
+        (inner.sealed.clone(), inner.state.to_live_ops())
     };
-    let Some(last) = sealed.last() else {
-        return Ok(()); // nothing sealed: nothing to merge
-    };
-    let covered_new = last.seq;
-
-    // Replay the prefix lock-free: base first, then sealed segments in
-    // sequence order.  All of these files are immutable until this pass
-    // deletes them, so no writer can race the reads.
-    let base = segment::base_path(&shared.path);
-    let mut state = MaterializedState::default();
-    if have_base {
-        segment::replay_base(&base, &mut state)?;
-    }
-    for seg in &sealed {
-        segment::replay_sealed(&seg.path, &mut state)?;
-    }
+    let covered_new = sealed.last().expect("checked non-empty").seq;
 
     // Rewrite: meta header (covering everything merged) plus live records,
     // to a temporary, fsynced before the rename makes it the base.
+    let base = segment::base_path(&shared.path);
     let tmp = segment::temp_path(&shared.path);
     let mut file = File::create(&tmp)?;
     let mut base_bytes = segment::write_base_meta(&mut file, covered_new)?;
-    base_bytes += segment::write_group_to(&mut file, &state.to_live_ops())?;
+    base_bytes += segment::write_group_to(&mut file, &live_ops)?;
     file.sync_data()?;
     shared.metrics.record_sync();
     // The rename is the commit point: before it the old base + segments

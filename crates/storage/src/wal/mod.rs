@@ -19,8 +19,8 @@
 //!   fsynced, renamed to `p.wal.seg-<seq>` and replaced by a fresh active
 //!   segment under one directory barrier — an O(1) rotation, the only
 //!   maintenance the write path ever pays;
-//! * a **background compaction worker** (see [`compactor`]) merges sealed
-//!   segments into the compacted base `p.wal.base` (live records only,
+//! * a **background compaction worker** (see [`compactor`]) writes the
+//!   in-memory view as the compacted base `p.wal.base` (live records only,
 //!   same framing) and deletes the segments the base covers — record
 //!   garbage from overwritten slots and checkpoint-truncated logs is
 //!   reclaimed without ever blocking a group commit, which is what keeps
@@ -397,52 +397,17 @@ impl WalStorage {
 
     /// Compacts the whole journal down to its live state, synchronously:
     /// seals the active segment (if it holds anything) and waits for the
-    /// background worker to merge everything into the base.
+    /// background worker to write the whole view into the base.
     pub fn compact(&self) -> Result<()> {
         {
             let mut inner = self.shared.inner.lock();
             if inner.active_bytes > 0 {
                 // xlint:allow(L1) — sealing is the write path's O(1) rotation: one fsync + one dir barrier under the lock, never a rewrite
-                self.seal_active(&mut inner)?;
+                seal_active(&self.shared, &mut inner)?;
             }
         }
         compactor::request(&self.shared);
         compactor::quiesce(&self.shared)
-    }
-
-    /// Seals the active segment: makes it durable, renames it to its
-    /// sealed name and opens a fresh active segment.  O(1) in the journal
-    /// size — no record is ever rewritten here.
-    fn seal_active(&self, inner: &mut WalInner) -> Result<()> {
-        if inner.unsynced_commits > 0 {
-            inner.active.sync_data()?;
-            inner.unsynced_commits = 0;
-            self.shared.metrics.record_sync();
-        }
-        let seq = inner.next_seq;
-        let sealed_path = segment::sealed_path(&self.shared.path, seq);
-        fs::rename(&self.shared.path, &sealed_path)?;
-        let file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(&self.shared.path)?;
-        // One directory barrier covers both the rename and the fresh
-        // active segment's entry.
-        segment::sync_parent_dir(&self.shared.path)?;
-        self.shared.metrics.record_sync();
-        let bytes = inner.active_bytes;
-        inner.sealed.push(SealedSeg {
-            seq,
-            path: sealed_path,
-            bytes,
-        });
-        inner.sealed_bytes += bytes;
-        inner.next_seq = seq + 1;
-        inner.active = file;
-        inner.active_bytes = 0;
-        inner.rotations += 1;
-        Ok(())
     }
 
     /// Schedules a background compaction if the journal is oversized and
@@ -502,7 +467,7 @@ impl WalStorage {
             .load(Ordering::Relaxed)
             .max(SEGMENT_BYTES_FLOOR);
         if inner.active_bytes >= segment_bytes {
-            self.seal_active(inner)?;
+            seal_active(&self.shared, inner)?;
         } else if inner.unsynced_commits >= self.shared.group_window.load(Ordering::Relaxed) {
             inner.active.sync_data()?;
             inner.unsynced_commits = 0;
@@ -511,6 +476,43 @@ impl WalStorage {
         self.maybe_request_compact(inner);
         Ok(())
     }
+}
+
+/// Seals the active segment: makes it durable, renames it to its sealed
+/// name and opens a fresh active segment.  O(1) in the journal size — no
+/// record is ever rewritten here.  Called with the storage lock held: by
+/// the write path at the size threshold, by [`WalStorage::compact`], and by
+/// the compactor at the start of a pass.
+fn seal_active(shared: &WalShared, inner: &mut WalInner) -> Result<()> {
+    if inner.unsynced_commits > 0 {
+        inner.active.sync_data()?;
+        inner.unsynced_commits = 0;
+        shared.metrics.record_sync();
+    }
+    let seq = inner.next_seq;
+    let sealed_path = segment::sealed_path(&shared.path, seq);
+    fs::rename(&shared.path, &sealed_path)?;
+    let file = OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(&shared.path)?;
+    // One directory barrier covers both the rename and the fresh active
+    // segment's entry.
+    segment::sync_parent_dir(&shared.path)?;
+    shared.metrics.record_sync();
+    let bytes = inner.active_bytes;
+    inner.sealed.push(SealedSeg {
+        seq,
+        path: sealed_path,
+        bytes,
+    });
+    inner.sealed_bytes += bytes;
+    inner.next_seq = seq + 1;
+    inner.active = file;
+    inner.active_bytes = 0;
+    inner.rotations += 1;
+    Ok(())
 }
 
 impl Drop for WalStorage {
@@ -1129,6 +1131,57 @@ mod tests {
         cleanup(&path);
     }
 
+    #[test]
+    fn a_pass_over_an_empty_active_segment_seals_nothing() {
+        let path = temp_wal("empty-seal");
+        let s = WalStorage::open(&path)
+            .unwrap()
+            .with_group_window(1)
+            .with_segment_bytes(256)
+            .with_compact_threshold(u64::MAX);
+        s.append(&key("log"), &[7u8; 300]).unwrap(); // rotates immediately
+        assert_eq!(s.layout().active_bytes, 0);
+        assert_eq!(s.rotations(), 1);
+        s.compact().unwrap();
+        assert_eq!(s.rotations(), 1, "an empty active segment is not sealed");
+        assert_eq!(s.compactions(), 1);
+        // Nothing sealed and nothing active: the pass is a no-op.
+        s.compact().unwrap();
+        assert_eq!(s.rotations(), 1);
+        assert_eq!(s.compactions(), 1);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn crash_after_the_compactor_seal_before_the_base_rename_reopens_committed_state() {
+        let path = temp_wal("seal-then-crash");
+        let entries: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 40]).collect();
+        {
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_group_window(4)
+                .with_segment_bytes(256)
+                .with_compact_threshold(u64::MAX);
+            s.store(&key("slot"), b"first").unwrap();
+            s.compact().unwrap(); // an old base exists
+            for entry in &entries {
+                s.append(&key("log"), entry).unwrap();
+            }
+            s.store(&key("slot"), b"second").unwrap();
+            assert!(s.layout().active_bytes > 0, "need records to seal");
+            // The first step of a pass, then the process dies while the
+            // new base is half written to the temporary.
+            seal_active(&s.shared, &mut s.shared.inner.lock()).unwrap();
+            assert_eq!(s.layout().active_bytes, 0);
+            fs::write(segment::temp_path(&path), b"half a base").unwrap();
+        }
+        let s = WalStorage::open(&path).unwrap();
+        assert!(!segment::temp_path(&path).exists(), "the temporary is reaped");
+        assert_eq!(s.load(&key("slot")).unwrap().unwrap(), b"second");
+        assert_eq!(s.load_log(&key("log")).unwrap(), entries);
+        cleanup(&path);
+    }
+
     proptest! {
         #[test]
         fn prop_wal_matches_a_map_model_across_reopen_with_rotation(
@@ -1172,6 +1225,59 @@ mod tests {
                     s.load_log(&key(name)).unwrap(),
                     logs.get(name).cloned().unwrap_or_default());
             }
+            cleanup(&path);
+        }
+
+        #[test]
+        fn prop_compaction_from_the_view_reopens_to_the_pre_close_view(
+            ops in proptest::collection::vec(
+                (0usize..8, 0usize..3, proptest::collection::vec(any::<u8>(), 0..64)), 1..120)) {
+            let path = temp_wal("prop-compact");
+            let names = ["a", "b", "c"];
+            let mut slots: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+            let mut logs: BTreeMap<String, Vec<Vec<u8>>> = BTreeMap::new();
+            let view = |s: &WalStorage| -> Vec<(Option<Bytes>, Vec<Bytes>)> {
+                names
+                    .iter()
+                    .map(|name| (s.load(&key(name)).unwrap(), s.load_log(&key(name)).unwrap()))
+                    .collect()
+            };
+            let before_close = {
+                // Minimum segment size and compaction threshold: seals every
+                // few records and background passes race the commits, with
+                // explicit passes interleaved on top.
+                let s = WalStorage::open(&path).unwrap()
+                    .with_group_window(3)
+                    .with_segment_bytes(256)
+                    .with_compact_threshold(0);
+                for (kind, which, value) in ops {
+                    let name = names[which];
+                    match kind {
+                        0 | 1 => {
+                            s.store(&key(name), &value).unwrap();
+                            slots.insert(name.to_string(), value);
+                        }
+                        2..=4 => {
+                            s.append(&key(name), &value).unwrap();
+                            logs.entry(name.to_string()).or_default().push(value);
+                        }
+                        5 | 6 => {
+                            s.remove(&key(name)).unwrap();
+                            slots.remove(name);
+                            logs.remove(name);
+                        }
+                        _ => s.compact().unwrap(),
+                    }
+                }
+                s.quiesce().unwrap();
+                view(&s)
+            };
+            for (name, (slot, log)) in names.iter().zip(&before_close) {
+                prop_assert_eq!(slot.clone(), slots.get(*name).cloned().map(Bytes::from));
+                prop_assert_eq!(log.clone(), logs.get(*name).cloned().unwrap_or_default());
+            }
+            let s = WalStorage::open(&path).unwrap();
+            prop_assert_eq!(view(&s), before_close);
             cleanup(&path);
         }
     }

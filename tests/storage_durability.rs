@@ -170,10 +170,11 @@ fn torn_journal_tail_recovers_to_a_prefix_and_catches_up() {
 /// Crash edge of the compaction ↔ group-commit-window interaction: a
 /// background compaction triggered while the window still holds an
 /// unsynced backlog must leave that pending tail replayable, and writes
-/// landing *after* the compaction must survive a process crash too.  The
-/// compactor only rewrites sealed (immutable, fully durable) segments; the
-/// active tail is untouched, so no ordering of crash and compaction can
-/// cost committed records.
+/// landing *after* the compaction must survive a process crash too.  A
+/// pass seals the active tail (fsyncing the backlog) before it snapshots
+/// the view, and commits after the snapshot land on a fresh active
+/// segment, so no ordering of crash and compaction can cost committed
+/// records.
 #[test]
 fn compaction_mid_group_window_keeps_the_pending_tail() {
     let base = temp_base("compact-window");
@@ -221,7 +222,7 @@ fn compaction_mid_group_window_keeps_the_pending_tail() {
 
 /// An *explicit* `compact()` call (not the threshold path) in the middle of
 /// an open group-commit window behaves the same: it seals the active
-/// segment (making the backlog durable), merges everything sealed into the
+/// segment (making the backlog durable), writes the in-memory view as the
 /// base, and the un-fsynced tail written afterwards still replays.
 #[test]
 fn explicit_compact_with_unsynced_backlog_loses_nothing() {
@@ -431,6 +432,86 @@ fn covered_segments_left_by_a_crash_are_reaped_not_replayed() {
     for (i, e) in entries.iter().enumerate() {
         assert_eq!(e, &vec![i as u8; 32], "record {i} appears exactly once");
     }
+    drop(s);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Compaction writes the base from the in-memory view and never reads a
+/// sealed segment back.  Overwriting a sealed segment's bytes after the
+/// seal must not fail the pass: the segment is covered, reaped, and the
+/// journal reopens to the committed state.
+#[test]
+fn compaction_does_not_read_sealed_segments_back() {
+    let base = temp_base("no-disk-reads");
+    std::fs::create_dir_all(&base).unwrap();
+    let path = base.join("journal.wal");
+    let log = StorageKey::new("log");
+    let seg1 = std::path::PathBuf::from(format!("{}.seg-{:08}", path.display(), 1));
+    {
+        let s = WalStorage::open(&path)
+            .unwrap()
+            .with_segment_bytes(256)
+            .with_compact_threshold(u64::MAX);
+        s.append(&log, &[7u8; 300]).unwrap(); // seals as seg-1
+        s.append(&log, b"active").unwrap();
+        assert_eq!(s.layout().sealed_segments, 1);
+        let len = std::fs::metadata(&seg1).unwrap().len() as usize;
+        std::fs::write(&seg1, vec![0xA5; len]).unwrap();
+        s.compact().expect("the pass must not read the sealed segment");
+        assert!(!seg1.exists(), "the covered segment is reaped");
+        assert_eq!(s.layout().sealed_segments, 0);
+    }
+    let s = WalStorage::open(&path).expect("the compacted journal reopens");
+    assert_eq!(
+        s.load_log(&log).unwrap(),
+        vec![vec![7u8; 300], b"active".to_vec()]
+    );
+    drop(s);
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// One log spread over all three layers — entries in the base, in sealed
+/// segments and in the active tail — replays in order with no entry
+/// duplicated, and a `Remove` in the active segment lands on top of a slot
+/// and a log that live in the base.
+#[test]
+fn a_log_spanning_base_sealed_and_active_replays_once_and_removes_land() {
+    let base = temp_base("span-layers");
+    std::fs::create_dir_all(&base).unwrap();
+    let path = base.join("journal.wal");
+    let log = StorageKey::new("log");
+    let doomed = StorageKey::new("doomed");
+    let entries: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40]).collect();
+    {
+        let s = WalStorage::open(&path)
+            .unwrap()
+            .with_segment_bytes(256)
+            .with_compact_threshold(u64::MAX);
+        s.store(&doomed, b"slot").unwrap();
+        s.append(&doomed, b"entry").unwrap();
+        for entry in &entries[..4] {
+            s.append(&log, entry).unwrap();
+        }
+        s.compact().unwrap();
+        for entry in &entries[4..] {
+            s.append(&log, entry).unwrap();
+        }
+        s.remove(&doomed).unwrap();
+        let layout = s.layout();
+        assert!(layout.base_bytes > 0, "part of the log lives in the base");
+        assert!(layout.sealed_segments > 0, "part lives in sealed segments");
+        assert!(layout.active_bytes > 0, "the remove sits in the active tail");
+    }
+    let s = WalStorage::open(&path).unwrap();
+    assert_eq!(s.load_log(&log).unwrap(), entries);
+    assert_eq!(s.load(&doomed).unwrap(), None);
+    assert!(s.load_log(&doomed).unwrap().is_empty());
+    // Folding the lot into a fresh base keeps the same view.
+    s.compact().unwrap();
+    drop(s);
+    let s = WalStorage::open(&path).unwrap();
+    assert_eq!(s.load_log(&log).unwrap(), entries);
+    assert_eq!(s.keys().unwrap(), vec![log]);
     drop(s);
     let _ = std::fs::remove_dir_all(&base);
 }
