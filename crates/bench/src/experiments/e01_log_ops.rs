@@ -14,29 +14,14 @@ use abcast_types::{ProtocolConfig, SimDuration};
 use crate::report::{fmt_f64, Table};
 use crate::workload::run_load;
 
-/// One measured configuration.
-struct Variant {
-    label: &'static str,
-    protocol: ProtocolConfig,
-}
-
 /// Runs the experiment.
 pub fn run(quick: bool) -> Table {
     let messages = if quick { 30 } else { 200 };
     let sizes: &[usize] = if quick { &[3] } else { &[3, 5, 7] };
     let variants = [
-        Variant {
-            label: "basic (minimal logging, §4)",
-            protocol: ProtocolConfig::basic(),
-        },
-        Variant {
-            label: "alternative (checkpointing, §5)",
-            protocol: ProtocolConfig::alternative(),
-        },
-        Variant {
-            label: "naive (log everything)",
-            protocol: ProtocolConfig::naive(),
-        },
+        ("basic (minimal logging, §4)", ProtocolConfig::basic()),
+        ("alternative (checkpointing, §5)", ProtocolConfig::alternative()),
+        ("naive (log everything)", ProtocolConfig::naive()),
     ];
 
     let mut table = Table::new(
@@ -54,11 +39,11 @@ pub fn run(quick: bool) -> Table {
     );
 
     for &n in sizes {
-        for variant in &variants {
+        for (label, protocol) in &variants {
             let (cluster, result) = run_load(
                 ClusterConfig::basic(n)
                     .with_seed(101)
-                    .with_protocol(variant.protocol.clone()),
+                    .with_protocol(protocol.clone()),
                 messages,
                 32,
                 SimDuration::from_millis(5),
@@ -70,7 +55,7 @@ pub fn run(quick: bool) -> Table {
                 result.storage.bytes_written as f64 / (messages as f64 * n as f64);
             table.push_row(vec![
                 n.to_string(),
-                variant.label.to_string(),
+                label.to_string(),
                 messages.to_string(),
                 result.rounds.to_string(),
                 result.storage.write_ops().to_string(),

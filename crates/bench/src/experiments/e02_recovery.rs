@@ -7,36 +7,18 @@
 //! protocol (no checkpoint) and for several checkpoint periods.
 
 use abcast_core::{Cluster, ClusterConfig};
-use abcast_types::{ProcessId, ProtocolConfig, SimDuration, SimTime};
+use abcast_types::{ProcessId, ProtocolConfig, SimDuration};
 
-use crate::report::{fmt_f64, Table};
+use crate::report::Table;
 
-struct Variant {
-    label: &'static str,
-    protocol: ProtocolConfig,
-}
-
-fn variants() -> Vec<Variant> {
+fn variants() -> Vec<(&'static str, ProtocolConfig)> {
+    let every =
+        |ms| ProtocolConfig::alternative().with_checkpoint_period(SimDuration::from_millis(ms));
     vec![
-        Variant {
-            label: "basic: no checkpoint (replay all)",
-            protocol: ProtocolConfig::basic(),
-        },
-        Variant {
-            label: "checkpoint every 50 ms",
-            protocol: ProtocolConfig::alternative()
-                .with_checkpoint_period(SimDuration::from_millis(50)),
-        },
-        Variant {
-            label: "checkpoint every 200 ms",
-            protocol: ProtocolConfig::alternative()
-                .with_checkpoint_period(SimDuration::from_millis(200)),
-        },
-        Variant {
-            label: "checkpoint every 800 ms",
-            protocol: ProtocolConfig::alternative()
-                .with_checkpoint_period(SimDuration::from_millis(800)),
-        },
+        ("basic: no checkpoint (replay all)", ProtocolConfig::basic()),
+        ("checkpoint every 50 ms", every(50)),
+        ("checkpoint every 200 ms", every(200)),
+        ("checkpoint every 800 ms", every(800)),
     ]
 }
 
@@ -56,10 +38,9 @@ pub fn run(quick: bool) -> Table {
     );
 
     for &rounds in rounds_before_crash {
-        for variant in &variants() {
+        for (label, mut protocol) in variants() {
             // Disable batching so every message occupies its own round,
             // making "rounds before crash" precise.
-            let mut protocol = variant.protocol.clone();
             protocol.batching = abcast_types::BatchingPolicy::WaitForAgreed;
             let mut cluster = Cluster::new(
                 ClusterConfig::basic(3)
@@ -111,12 +92,11 @@ pub fn run(quick: bool) -> Table {
             let metrics = cluster.sim().actor(victim).expect("victim is up").metrics().clone();
             table.push_row(vec![
                 rounds.to_string(),
-                variant.label.to_string(),
+                label.to_string(),
                 metrics.replayed_rounds_on_recovery.to_string(),
                 reads.bytes_read.to_string(),
                 checkpoints_before_crash.to_string(),
             ]);
-            let _ = (SimTime::ZERO, fmt_f64(0.0));
         }
     }
     table.note(

@@ -12,33 +12,19 @@ use abcast_types::{ProcessId, ProtocolConfig, RecoveryPolicy, SimDuration};
 
 use crate::report::{fmt_f64, Table};
 
-struct Variant {
-    label: &'static str,
-    protocol: ProtocolConfig,
-}
-
-fn variants() -> Vec<Variant> {
+fn variants() -> Vec<(&'static str, ProtocolConfig)> {
     let base = ProtocolConfig::alternative();
     vec![
-        Variant {
-            label: "replay only (no state transfer)",
-            protocol: ProtocolConfig {
+        (
+            "replay only (no state transfer)",
+            ProtocolConfig {
                 recovery: RecoveryPolicy::ReplayConsensus,
                 ..base.clone()
             },
-        },
-        Variant {
-            label: "state transfer, delta = 4",
-            protocol: base.clone().with_delta(4),
-        },
-        Variant {
-            label: "state transfer, delta = 16",
-            protocol: base.clone().with_delta(16),
-        },
-        Variant {
-            label: "state transfer, delta = 64",
-            protocol: base.with_delta(64),
-        },
+        ),
+        ("state transfer, delta = 4", base.clone().with_delta(4)),
+        ("state transfer, delta = 16", base.clone().with_delta(16)),
+        ("state transfer, delta = 64", base.with_delta(64)),
     ]
 }
 
@@ -58,8 +44,7 @@ pub fn run(quick: bool) -> Table {
     );
 
     for &missed in downtimes {
-        for variant in &variants() {
-            let mut protocol = variant.protocol.clone();
+        for (label, mut protocol) in variants() {
             protocol.batching = abcast_types::BatchingPolicy::WaitForAgreed;
             let mut cluster = Cluster::new(
                 ClusterConfig::basic(3)
@@ -106,7 +91,7 @@ pub fn run(quick: bool) -> Table {
             let metrics = cluster.sim().actor(victim).expect("up").metrics().clone();
             table.push_row(vec![
                 missed.to_string(),
-                variant.label.to_string(),
+                label.to_string(),
                 fmt_f64(catch_up_ms),
                 metrics.skipped_rounds.to_string(),
                 metrics.state_transfers_applied.to_string(),

@@ -12,8 +12,8 @@
 //!   storage (for the WAL: replay the journal) and rebuild the whole
 //!   cluster from it, plus the rounds the protocol replays.
 //!
-//! The `exp_storage` binary additionally emits `BENCH_storage.json` so the
-//! repository carries a perf trajectory for future changes.
+//! `exp e11` additionally emits `BENCH_storage.json` so the repository
+//! carries a perf trajectory for future changes.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -234,12 +234,6 @@ fn measure(
     }
 }
 
-/// Runs the experiment and renders its table.
-pub fn run(quick: bool) -> Table {
-    let rows = run_rows(quick);
-    table_from_rows(&rows)
-}
-
 /// Renders measured rows as the E11 report table.
 pub fn table_from_rows(rows: &[StorageRow]) -> Table {
     let mut table = Table::new(
@@ -363,7 +357,7 @@ mod tests {
         // The table and the JSON baseline render without panicking and
         // carry every row.
         let table = table_from_rows(&rows);
-        assert_eq!(table.len(), 6);
+        assert_eq!(table.rows.len(), 6);
         let json = to_json(&rows, true);
         assert!(json.contains("\"experiment\": \"E11\""));
         assert_eq!(json.matches("\"backend\"").count(), 6);

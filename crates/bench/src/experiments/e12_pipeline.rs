@@ -14,8 +14,8 @@
 //! over a latency-dominated link for `W ∈ {1, 2, 4, 8}`, for both logging
 //! variants, and reports throughput, latency, the observed peak of
 //! rounds-in-flight and the fsync cost (which must not change with `W`).
-//! The `exp_pipeline` binary emits `BENCH_pipeline.json` so the repository
-//! carries the pipelining perf baseline.
+//! `exp e12` emits `BENCH_pipeline.json` so the repository carries the
+//! pipelining perf baseline.
 
 use std::fmt::Write as _;
 
@@ -127,11 +127,6 @@ pub fn run_rows(quick: bool) -> Vec<PipelineRow> {
     rows
 }
 
-/// Runs the experiment and renders its table.
-pub fn run(quick: bool) -> Table {
-    table_from_rows(&run_rows(quick))
-}
-
 /// Renders measured rows as the E12 report table.
 pub fn table_from_rows(rows: &[PipelineRow]) -> Table {
     let mut table = Table::new(
@@ -161,9 +156,8 @@ pub fn table_from_rows(rows: &[PipelineRow]) -> Table {
         ]);
     }
     table.note(format!(
-        "load is bounded-batch (max_batch = {MAX_BATCH}) over a {}-{} ms link, so the \
-         sequential round loop, not batching, is the bottleneck being attacked",
-        2, 5
+        "load is bounded-batch (max_batch = {MAX_BATCH}) over a 2-5 ms link, so the \
+         sequential round loop, not batching, is the bottleneck being attacked"
     ));
     table.note(
         "W = 1 is the paper's sequential protocol; decided batches always apply in \
@@ -254,7 +248,7 @@ mod tests {
         }
         // The table and the JSON baseline render and carry every row.
         let table = table_from_rows(&rows);
-        assert_eq!(table.len(), 4);
+        assert_eq!(table.rows.len(), 4);
         let json = to_json(&rows, true);
         assert!(json.contains("\"experiment\": \"E12\""));
         assert_eq!(json.matches("\"pipeline_depth\"").count(), 4);

@@ -1,26 +1,16 @@
-//! E15 — Cluster-size sweep over the event-loop socket transport:
-//! delivered throughput, delivery latency, durability cost and OS-thread
-//! footprint vs N.
+//! E15 — Pipeline depth on real sockets: delivered throughput, delivery
+//! latency and durability cost vs N and W over a 2–5 ms delayed link.
 //!
-//! The paper's cost analysis treats cluster size abstractly — quorum
-//! distance and per-round message complexity grow with N — and PR 9's
-//! readiness-based transport (one poller thread owning every socket)
-//! makes the regime measurable on real sockets: a cluster of N processes
-//! now costs N + 1 OS threads instead of the O(N²) of
-//! thread-per-connection, so sweeping N ∈ {3, 5, 7, 9} is a matter of
-//! wall-clock, not thread exhaustion.
-//!
-//! Each `(link, N, W)` cell runs the E12/E14 bounded-batch pipelined
-//! workload (`max_batch = 4`) over loopback TCP and reports delivered
-//! msgs/s, observed p50/p99 A-broadcast → A-deliver latency, durability
-//! barriers per delivered message (summed `sync_ops` across every store)
-//! and the OS threads the deployment added.  The sweep runs twice: on raw
-//! loopback (tens of µs RTT — the consensus CPU path dominates) and on a
-//! 2–5 ms [`LinkPolicy`] delayed link, the simulator's E12 link brought
-//! to real sockets — which is the regime where pipeline depth W pays, so
-//! the delayed rows must reproduce the E12-shaped W-scaling curve.  The
-//! loopback `N = 3` row doubles as a cross-check against the committed
-//! E14 baseline.  The `exp_cluster` binary emits `BENCH_cluster.json`.
+//! E12 shows the pipelining speedup in virtual time under the simulator's
+//! 2–5 ms link.  This experiment brings that link to loopback TCP via
+//! [`LinkPolicy::delayed`] (frames held on the poller's timer wheel) and
+//! re-measures the same bounded-batch workload (`max_batch = 4`) for
+//! `N ∈ {3, 5, 7, 9}` and `W ∈ {1, 4}`: delivered msgs/s, observed p50/p99
+//! A-broadcast → A-deliver latency and durability barriers per delivered
+//! message (summed `sync_ops` across every store).  The link delay, not
+//! the CPU path, dominates each round here, which is the regime where the
+//! `W = 1 → 4` ratio shows on a real wire.  `exp e15` emits
+//! `BENCH_cluster.json`.
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -33,16 +23,14 @@ use abcast_types::{BatchingPolicy, ProtocolConfig};
 use crate::report::{fmt_f64, Table};
 use crate::workload::drive_socket_load;
 
-/// Messages proposed to one consensus instance (same as E12/E14).
+/// Messages proposed to one consensus instance (same as E12).
 const MAX_BATCH: usize = 4;
 /// Seed for every measured deployment.
 const SEED: u64 = 1501;
 
-/// One measured `(link, N, W)` cell.
+/// One measured `(N, W)` cell.
 #[derive(Clone, Debug)]
 pub struct ClusterRow {
-    /// Link label: `loopback` or `delayed_2_5ms`.
-    pub link: &'static str,
     /// Cluster size N.
     pub processes: usize,
     /// Pipeline depth W.
@@ -61,37 +49,18 @@ pub struct ClusterRow {
     pub fsyncs: u64,
     /// Durability barriers per delivered message (`fsyncs / messages`).
     pub fsyncs_per_msg: f64,
-    /// OS threads the deployment added while running (workers + poller).
-    pub os_threads: usize,
     /// Frames lost to the fair-lossy stream (0 on a healthy run).
     pub frames_dropped: u64,
     /// Partial frames discarded at teardown (0 on a healthy run).
     pub torn_frames: u64,
 }
 
-/// The cluster sizes swept: `{3, 5}` in quick mode, `{3, 5, 7, 9}` full.
-pub fn sizes(quick: bool) -> &'static [usize] {
-    if quick {
-        &[3, 5]
-    } else {
-        &[3, 5, 7, 9]
-    }
-}
-
 /// The pipeline depths swept (both modes — W is the money column).
-pub fn depths() -> &'static [u64] {
-    &[1, 4]
-}
+const DEPTHS: [u64; 2] = [1, 4];
 
-/// The two measured links: raw loopback and the simulator's 2–5 ms band.
-fn links() -> [(&'static str, LinkPolicy); 2] {
-    [
-        ("loopback", LinkPolicy::direct()),
-        (
-            "delayed_2_5ms",
-            LinkPolicy::delayed(Duration::from_millis(2), Duration::from_millis(5)),
-        ),
-    ]
+/// The simulator's 2–5 ms link band, applied per hop on real sockets.
+fn delayed_link() -> LinkPolicy {
+    LinkPolicy::delayed(Duration::from_millis(2), Duration::from_millis(5))
 }
 
 fn protocol_for(depth: u64) -> ProtocolConfig {
@@ -100,30 +69,17 @@ fn protocol_for(depth: u64) -> ProtocolConfig {
         .with_pipeline_depth(depth)
 }
 
-/// Live OS-thread count of this process, from `/proc/self/status`.
-fn os_threads() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find_map(|line| line.strip_prefix("Threads:"))
-                .and_then(|v| v.trim().parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Runs one `(link, N, W)` cell and returns its row.
-fn run_cell(link: &'static str, policy: LinkPolicy, n: usize, depth: u64, messages: usize) -> ClusterRow {
+/// Runs one `(N, W)` cell and returns its row.
+fn run_cell(n: usize, depth: u64, messages: usize) -> ClusterRow {
     let config = ClusterConfig::basic(n)
         .with_seed(SEED)
         .with_protocol(protocol_for(depth));
     let storage = StorageRegistry::in_memory(n);
-    let tcp = TcpConfig::default().with_seed(SEED).with_link(policy);
-    let threads_before = os_threads();
+    let tcp = TcpConfig::default()
+        .with_seed(SEED)
+        .with_link(delayed_link());
     let mut cluster = TcpCluster::with_registry_and_tcp(config, storage, tcp)
         .expect("loopback listeners must bind");
-    let threads_during = os_threads();
     let result = drive_socket_load(
         &mut cluster,
         messages,
@@ -133,7 +89,7 @@ fn run_cell(link: &'static str, policy: LinkPolicy, n: usize, depth: u64, messag
     );
     assert!(
         result.all_delivered,
-        "E15 load must complete (link {link}, N = {n}, W = {depth})"
+        "E15 load must complete (N = {n}, W = {depth})"
     );
     assert_eq!(
         cluster.decode_failures(),
@@ -148,7 +104,6 @@ fn run_cell(link: &'static str, policy: LinkPolicy, n: usize, depth: u64, messag
     let tcp_snapshot = cluster.runtime().tcp_metrics().snapshot();
     cluster.shutdown();
     ClusterRow {
-        link,
         processes: n,
         depth,
         messages,
@@ -158,40 +113,34 @@ fn run_cell(link: &'static str, policy: LinkPolicy, n: usize, depth: u64, messag
         p99_latency_ms: result.p99_latency_ms,
         fsyncs,
         fsyncs_per_msg: fsyncs as f64 / messages as f64,
-        os_threads: threads_during.saturating_sub(threads_before),
         frames_dropped: tcp_snapshot.frames_dropped,
         torn_frames: tcp_snapshot.torn_frames,
     }
 }
 
-/// Runs the full measurement matrix and returns one row per cell.
+/// Runs the full measurement matrix and returns one row per cell:
+/// `N ∈ {3, 5}` in quick mode, `N ∈ {3, 5, 7, 9}` in full mode.
 pub fn run_rows(quick: bool) -> Vec<ClusterRow> {
-    // 96 full-mode messages matches E14's run length, so the loopback
-    // N = 3 row amortizes startup identically and cross-checks cleanly.
-    let messages = if quick { 24 } else { 96 };
+    let (sizes, messages): (&[usize], usize) = if quick {
+        (&[3, 5], 24)
+    } else {
+        (&[3, 5, 7, 9], 96)
+    };
     let mut rows = Vec::new();
-    for (link, policy) in links() {
-        for &n in sizes(quick) {
-            for &depth in depths() {
-                rows.push(run_cell(link, policy, n, depth, messages));
-            }
+    for &n in sizes {
+        for depth in DEPTHS {
+            rows.push(run_cell(n, depth, messages));
         }
     }
     rows
-}
-
-/// Runs the experiment and renders its table.
-pub fn run(quick: bool) -> Table {
-    table_from_rows(&run_rows(quick))
 }
 
 /// Renders measured rows as the E15 report table.
 pub fn table_from_rows(rows: &[ClusterRow]) -> Table {
     let mut table = Table::new(
         "E15",
-        "cluster-size sweep over the event-loop socket transport: throughput, latency, fsyncs and threads vs N",
+        "pipeline depth on real sockets over a 2-5 ms delayed link: throughput, latency and fsyncs vs N and W",
         &[
-            "link",
             "N",
             "W",
             "messages",
@@ -199,13 +148,11 @@ pub fn table_from_rows(rows: &[ClusterRow]) -> Table {
             "p50 (ms)",
             "p99 (ms)",
             "fsyncs/msg",
-            "threads",
             "frames dropped",
         ],
     );
     for row in rows {
         table.push_row(vec![
-            row.link.to_string(),
             row.processes.to_string(),
             row.depth.to_string(),
             row.messages.to_string(),
@@ -213,18 +160,12 @@ pub fn table_from_rows(rows: &[ClusterRow]) -> Table {
             fmt_f64(row.p50_latency_ms),
             fmt_f64(row.p99_latency_ms),
             fmt_f64(row.fsyncs_per_msg),
-            row.os_threads.to_string(),
             row.frames_dropped.to_string(),
         ]);
     }
     table.note(
-        "threads = OS threads the deployment added (N workers + 1 poller on the \
-         event-loop transport; thread-per-connection needed 2N(N-1) + 2N)",
-    );
-    table.note(
-        "delayed_2_5ms applies the simulator's 2-5 ms E12 link per hop via \
-         LinkPolicy, so those rows are the socket twin of the E12 W-scaling curve; \
-         loopback rows are CPU-path-bound and its N = 3 row cross-checks E14",
+        "every hop is delayed 2-5 ms via LinkPolicy (the simulator's E12 link), so \
+         these rows are the socket twin of the E12 W-scaling curve",
     );
     table
 }
@@ -236,25 +177,21 @@ pub fn to_json(rows: &[ClusterRow], quick: bool) -> String {
     let _ = writeln!(out, "  \"experiment\": \"E15\",");
     let _ = writeln!(
         out,
-        "  \"title\": \"cluster-size sweep over the event-loop socket transport: delivered msgs/sec, p50/p99 latency, fsyncs/msg and OS threads vs N\","
+        "  \"title\": \"pipeline depth on real sockets over a 2-5 ms delayed link: delivered msgs/sec, p50/p99 latency and fsyncs/msg vs N and W\","
     );
     let _ = writeln!(out, "  \"quick\": {quick},");
+    let _ = writeln!(out, "  \"link\": \"delayed_2_5ms\",");
     let _ = writeln!(out, "  \"max_batch\": {MAX_BATCH},");
     let _ = writeln!(out, "  \"seed\": {SEED},");
-    let _ = writeln!(
-        out,
-        "  \"note\": \"os_threads counts threads the deployment added (N workers + 1 poller); delayed_2_5ms rows carry the simulator's E12 link band on real sockets\","
-    );
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"link\": \"{}\", \"processes\": {}, \"pipeline_depth\": {}, \
+            "    {{\"processes\": {}, \"pipeline_depth\": {}, \
              \"messages\": {}, \"throughput_msgs_per_sec\": {}, \
              \"mean_latency_ms\": {}, \"p50_latency_ms\": {}, \"p99_latency_ms\": {}, \
-             \"fsyncs\": {}, \"fsyncs_per_msg\": {}, \"os_threads\": {}, \
+             \"fsyncs\": {}, \"fsyncs_per_msg\": {}, \
              \"frames_dropped\": {}, \"torn_frames\": {}}}",
-            row.link,
             row.processes,
             row.depth,
             row.messages,
@@ -264,7 +201,6 @@ pub fn to_json(rows: &[ClusterRow], quick: bool) -> String {
             fmt_f64(row.p99_latency_ms),
             row.fsyncs,
             fmt_f64(row.fsyncs_per_msg),
-            row.os_threads,
             row.frames_dropped,
             row.torn_frames,
         );
@@ -279,37 +215,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn one_loopback_cell_completes_with_linear_threads_and_clean_streams() {
-        // One N = 5 cell instead of the full quick matrix: the sweep
-        // itself runs in CI via `exp_cluster --quick`.
-        let row = run_cell("loopback", LinkPolicy::direct(), 5, 4, 24);
-        assert!(row.throughput_msgs_per_sec > 0.0, "{row:?}");
-        assert!(row.p99_latency_ms >= row.p50_latency_ms, "{row:?}");
-        assert!(row.fsyncs > 0, "consensus must pay durability barriers: {row:?}");
-        assert_eq!(row.torn_frames, 0, "healthy run tore a frame: {row:?}");
-        // Other tests spawn threads concurrently, so the delta is noisy
-        // upward — but it must stay far below thread-per-connection's
-        // 2N(N-1) + 2N = 50.
-        assert!(
-            row.os_threads <= 2 * row.processes + 2,
-            "N = 5 must run O(N) threads, not O(N^2): {row:?}"
-        );
-        let table = table_from_rows(std::slice::from_ref(&row));
-        assert_eq!(table.len(), 1);
-        let json = to_json(std::slice::from_ref(&row), true);
-        assert!(json.contains("\"experiment\": \"E15\""));
-        assert!(json.contains("\"os_threads\""));
-    }
-
-    #[test]
     fn a_delayed_cell_shows_the_link_in_its_latency() {
-        let policy = LinkPolicy::delayed(Duration::from_millis(2), Duration::from_millis(5));
-        let row = run_cell("delayed_2_5ms", policy, 3, 4, 12);
+        let row = run_cell(3, 4, 12);
         // One delivery crosses at least one 2-5 ms hop (proposal or ack),
         // so the median cannot sit at loopback's tens of microseconds.
         assert!(
             row.p50_latency_ms >= 1.0,
             "a 2-5 ms link must show up in delivery latency: {row:?}"
         );
+        assert!(row.fsyncs > 0, "consensus must pay durability barriers: {row:?}");
+        let table = table_from_rows(std::slice::from_ref(&row));
+        assert_eq!(table.rows.len(), 1);
+        let json = to_json(std::slice::from_ref(&row), true);
+        assert!(json.contains("\"experiment\": \"E15\""));
     }
 }

@@ -13,9 +13,10 @@
 //!   state, compaction bounds the on-disk journal, so reopen (replay)
 //!   time stops growing with history instead of scaling with every
 //!   message ever committed;
-//! * **no write-path stalls** — the p99 group-commit latency of a run
-//!   with forced background compaction stays within noise of a run with
-//!   compaction disabled: the write path only ever pays the O(1) seal.
+//! * **no write-path rewrites** — forced background compaction adds a
+//!   constant number of barriers per rotation or compaction pass over a
+//!   run with compaction disabled: the write path only ever pays the O(1)
+//!   seal.  The p99 group-commit latency is reported alongside.
 //!
 //! The workload is storage-level (no cluster): each message commits one
 //! protocol-step-shaped `WriteBatch` (an agreed delta append, an
@@ -24,8 +25,8 @@
 //! snapshot slot, truncates both logs and calls `note_checkpoint` — the
 //! hook the protocol's checkpoint task uses to nudge compaction.
 //!
-//! The `exp_wal` binary emits `BENCH_wal.json` so the repository carries
-//! the perf trajectory.
+//! `exp e16` emits `BENCH_wal.json` so the repository carries the perf
+//! trajectory.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -187,11 +188,6 @@ pub fn run_rows(quick: bool) -> Vec<WalRow> {
     rows
 }
 
-/// Runs the experiment and renders its table.
-pub fn run(quick: bool) -> Table {
-    table_from_rows(&run_rows(quick))
-}
-
 /// Renders measured rows as the E16 report table.
 pub fn table_from_rows(rows: &[WalRow]) -> Table {
     let mut table = Table::new(
@@ -235,8 +231,8 @@ pub fn table_from_rows(rows: &[WalRow]) -> Table {
     ));
     table.note(
         "the three gated claims: fsyncs/msg flat across the sweep, segmented reopen bounded \
-         (compaction bounds the disk), segmented p99 commit latency within noise of monolithic \
-         (the write path never blocks on a rewrite, only the O(1) seal)",
+         (compaction bounds the disk), segmented fsyncs over monolithic bounded by a constant \
+         per rotation + compaction (the write path never pays a rewrite, only the O(1) seal)",
     );
     table
 }
@@ -282,7 +278,15 @@ pub fn to_json(rows: &[WalRow], quick: bool) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+
+    /// The quick sweep, measured once and shared by every test.
+    fn quick_rows() -> &'static [WalRow] {
+        static ROWS: OnceLock<Vec<WalRow>> = OnceLock::new();
+        ROWS.get_or_init(|| run_rows(true))
+    }
 
     fn rows_of<'a>(rows: &'a [WalRow], mode: &str) -> Vec<&'a WalRow> {
         rows.iter().filter(|r| r.mode == mode).collect()
@@ -290,11 +294,11 @@ mod tests {
 
     #[test]
     fn fsyncs_per_message_stay_flat_and_compaction_bounds_the_disk() {
-        let rows = run_rows(true);
+        let rows = quick_rows();
         assert_eq!(rows.len(), 4);
 
         for mode in ["segmented", "monolithic"] {
-            let of_mode = rows_of(&rows, mode);
+            let of_mode = rows_of(rows, mode);
             let per_msg: Vec<f64> = of_mode.iter().map(|r| r.syncs_per_msg).collect();
             let (min, max) = per_msg
                 .iter()
@@ -305,7 +309,7 @@ mod tests {
             );
         }
 
-        let segmented = rows_of(&rows, "segmented");
+        let segmented = rows_of(rows, "segmented");
         for row in &segmented {
             assert!(row.rotations > 0, "segmented rows must rotate: {row:?}");
             assert!(row.compactions > 0, "segmented rows must compact: {row:?}");
@@ -321,21 +325,28 @@ mod tests {
     }
 
     #[test]
-    fn forced_compaction_keeps_p99_commit_latency_within_noise() {
-        let rows = run_rows(true);
-        // Compare at the largest sweep point, where the segmented run has
-        // compacted many times.  The bound is deliberately loose (5x):
-        // CI boxes are noisy, and the failure mode this guards against —
-        // the write path blocking on a whole-journal rewrite — is orders
-        // of magnitude, not a factor.
-        let seg = rows_of(&rows, "segmented");
-        let mono = rows_of(&rows, "monolithic");
-        let seg_p99 = seg[seg.len() - 1].p99_commit_micros.max(1);
-        let mono_p99 = mono[mono.len() - 1].p99_commit_micros.max(1);
-        assert!(
-            seg_p99 <= mono_p99 * 5,
-            "forced background compaction must not stall the write path: \
-             segmented p99 {seg_p99}µs vs monolithic p99 {mono_p99}µs"
-        );
+    fn forced_compaction_adds_a_constant_number_of_barriers_per_seal() {
+        // A rotation (a seal) pays at most two barriers — the pulled-forward
+        // fsync and the directory barrier — and a compaction pass three:
+        // the base's fsync, the rename's and the reap's directory barriers.
+        // The committed baseline shows about 2 per event; a write path that
+        // rewrote the journal or synced per record would blow through 3.
+        let rows = quick_rows();
+        let mono = rows_of(rows, "monolithic");
+        for seg in rows_of(rows, "segmented") {
+            let base = mono
+                .iter()
+                .find(|m| m.messages == seg.messages)
+                .expect("every sweep point runs both modes");
+            let extra = seg.sync_ops.saturating_sub(base.sync_ops);
+            let events = seg.rotations + seg.compactions;
+            assert!(
+                extra <= 3 * events,
+                "{} extra barriers for {events} rotations + compactions at {} messages: \
+                 {seg:?} vs {base:?}",
+                extra,
+                seg.messages
+            );
+        }
     }
 }

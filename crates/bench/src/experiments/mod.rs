@@ -1,63 +1,115 @@
-//! The experiment suite (E1–E16).  See the crate documentation and
-//! `EXPERIMENTS.md` for the mapping from paper claims to experiments.
+//! The experiment suite: one [`EXPERIMENTS`] entry per experiment, which
+//! the `exp` binary dispatches on.  See the crate documentation for the
+//! mapping from claims to experiments.
 
 pub mod e01_log_ops;
 pub mod e02_recovery;
 pub mod e03_state_transfer;
-pub mod e04_throughput;
 pub mod e05_incremental;
-pub mod e06_faults;
-pub mod e07_ct_comparison;
 pub mod e08_log_growth;
-pub mod e09_deferred;
-pub mod e10_quorum;
 pub mod e11_storage;
 pub mod e12_pipeline;
 pub mod e13_codec;
-pub mod e14_socket;
 pub mod e15_cluster;
 pub mod e16_wal;
 
 use crate::report::Table;
 
-/// Runs every experiment and returns their tables in order.
-///
-/// `quick` trims the parameter sweeps so the whole suite stays fast enough
-/// for CI and for the Criterion benches; the full sweeps are used by the
-/// `exp_*` binaries.
-pub fn run_all(quick: bool) -> Vec<Table> {
-    vec![
-        e01_log_ops::run(quick),
-        e02_recovery::run(quick),
-        e03_state_transfer::run(quick),
-        e04_throughput::run(quick),
-        e05_incremental::run(quick),
-        e06_faults::run(quick),
-        e07_ct_comparison::run(quick),
-        e08_log_growth::run(quick),
-        e09_deferred::run(quick),
-        e10_quorum::run(quick),
-        e11_storage::run(quick),
-        e12_pipeline::run(quick),
-        e13_codec::run(quick),
-        e14_socket::run(quick),
-        e15_cluster::run(quick),
-        e16_wal::run(quick),
-    ]
+/// How an experiment runs; `quick` trims its parameter sweep.
+pub enum Runner {
+    /// Produces a report table only.
+    Table(fn(bool) -> Table),
+    /// Produces a report table and a JSON baseline, written by default to
+    /// `file` (a `BENCH_*.json` committed at the repository root).
+    Baseline {
+        /// Default file name of the baseline.
+        file: &'static str,
+        /// Runs the experiment, returning its table and baseline JSON.
+        run: fn(bool) -> (Table, String),
+    },
 }
 
-#[cfg(test)]
-mod tests {
-    /// Smoke-test: every experiment runs in quick mode and produces a
-    /// non-empty table.  (This doubles as an end-to-end regression test of
-    /// the whole stack.)
-    #[test]
-    fn all_experiments_produce_tables_in_quick_mode() {
-        let tables = super::run_all(true);
-        assert_eq!(tables.len(), 16);
-        for table in &tables {
-            assert!(!table.is_empty(), "{} produced no rows", table.id);
-            assert!(!table.columns.is_empty());
-        }
-    }
+/// One experiment of the suite.
+pub struct Experiment {
+    /// Command-line id, e.g. `e11`.
+    pub id: &'static str,
+    /// How to run it.
+    pub runner: Runner,
 }
+
+/// Every experiment, in report order.
+pub static EXPERIMENTS: [Experiment; 10] = [
+    Experiment {
+        id: "e01",
+        runner: Runner::Table(e01_log_ops::run),
+    },
+    Experiment {
+        id: "e02",
+        runner: Runner::Table(e02_recovery::run),
+    },
+    Experiment {
+        id: "e03",
+        runner: Runner::Table(e03_state_transfer::run),
+    },
+    Experiment {
+        id: "e05",
+        runner: Runner::Table(e05_incremental::run),
+    },
+    Experiment {
+        id: "e08",
+        runner: Runner::Table(e08_log_growth::run),
+    },
+    Experiment {
+        id: "e11",
+        runner: Runner::Baseline {
+            file: "BENCH_storage.json",
+            run: |quick| {
+                let rows = e11_storage::run_rows(quick);
+                (e11_storage::table_from_rows(&rows), e11_storage::to_json(&rows, quick))
+            },
+        },
+    },
+    Experiment {
+        id: "e12",
+        runner: Runner::Baseline {
+            file: "BENCH_pipeline.json",
+            run: |quick| {
+                let rows = e12_pipeline::run_rows(quick);
+                (e12_pipeline::table_from_rows(&rows), e12_pipeline::to_json(&rows, quick))
+            },
+        },
+    },
+    Experiment {
+        id: "e13",
+        runner: Runner::Baseline {
+            file: "BENCH_codec.json",
+            run: |quick| {
+                let (copies, pipeline) = e13_codec::run_rows(quick);
+                (
+                    e13_codec::table_from_rows(&copies, &pipeline),
+                    e13_codec::to_json(&copies, &pipeline, quick),
+                )
+            },
+        },
+    },
+    Experiment {
+        id: "e15",
+        runner: Runner::Baseline {
+            file: "BENCH_cluster.json",
+            run: |quick| {
+                let rows = e15_cluster::run_rows(quick);
+                (e15_cluster::table_from_rows(&rows), e15_cluster::to_json(&rows, quick))
+            },
+        },
+    },
+    Experiment {
+        id: "e16",
+        runner: Runner::Baseline {
+            file: "BENCH_wal.json",
+            run: |quick| {
+                let rows = e16_wal::run_rows(quick);
+                (e16_wal::table_from_rows(&rows), e16_wal::to_json(&rows, quick))
+            },
+        },
+    },
+];

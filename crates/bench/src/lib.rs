@@ -1,26 +1,26 @@
-//! Experiment harness reproducing every measurable claim of the paper.
+//! Experiment harness: the measured experiments the README cites.
 //!
 //! The paper (ICDCS 2000) has no quantitative evaluation section — its five
-//! figures are interfaces and pseudocode — so the reproduction turns each
-//! *claim* into a measured experiment (see `DESIGN.md` §3 and
-//! `EXPERIMENTS.md` for the index):
+//! figures are interfaces and pseudocode — so the reproduction turns its
+//! logging/recovery trade-off claims into simulated experiments, and adds
+//! count experiments for the storage, pipelining and codec layers:
 //!
 //! | Id | Claim | Module |
 //! |----|-------|--------|
 //! | E1 | §4.3 minimal logging | [`experiments::e01_log_ops`] |
 //! | E2 | §5.1 checkpoints shorten recovery | [`experiments::e02_recovery`] |
 //! | E3 | §5.3 state transfer for lagging processes | [`experiments::e03_state_transfer`] |
-//! | E4 | §5.4 batching improves throughput | [`experiments::e04_throughput`] |
 //! | E5 | §5.5 incremental logging reduces bytes | [`experiments::e05_incremental`] |
-//! | E6 | §2.2/§4 liveness & safety under faults | [`experiments::e06_faults`] |
-//! | E7 | §5.6 reduces to Chandra–Toueg when crash-stop | [`experiments::e07_ct_comparison`] |
 //! | E8 | §5.2 application checkpoints bound log growth | [`experiments::e08_log_growth`] |
-//! | E9 | §6.2 deferred-update replication | [`experiments::e09_deferred`] |
-//! | E10 | §6.3 quorum-based replication | [`experiments::e10_quorum`] |
+//! | E11 | group-commit WAL vs per-op file syncs | [`experiments::e11_storage`] |
+//! | E12 | pipelined rounds vs depth W | [`experiments::e12_pipeline`] |
+//! | E13 | zero-copy payload path | [`experiments::e13_codec`] |
+//! | E15 | socket cluster over a 2–5 ms link vs N and W | [`experiments::e15_cluster`] |
+//! | E16 | segmented WAL rotation + compaction | [`experiments::e16_wal`] |
 //!
-//! Every experiment produces a [`Table`]; the `exp_*` binaries print them
-//! and `exp_all` regenerates the whole evaluation.  The Criterion benches
-//! under `benches/` time the same workloads in their "quick" form.
+//! Every experiment produces a [`Table`]; the `exp` binary runs one (or
+//! `all`) through [`experiments::EXPERIMENTS`] and writes the `BENCH_*.json`
+//! baseline of those that have one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,4 +30,3 @@ pub mod report;
 pub mod workload;
 
 pub use report::Table;
-pub use workload::{drive_load, LoadResult};

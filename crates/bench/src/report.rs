@@ -1,8 +1,7 @@
 //! Tabular experiment reports.
 //!
-//! Every experiment produces one [`Table`]; the binaries print it to the
-//! terminal and `EXPERIMENTS.md` records the numbers measured on the
-//! reference machine next to the paper's qualitative expectation.
+//! Every experiment produces one [`Table`]; the `exp` binary prints it as
+//! plain text and as the markdown the README's tables are taken from.
 
 use std::fmt::Write as _;
 
@@ -50,16 +49,6 @@ impl Table {
     /// Appends an interpretation note.
     pub fn note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// `true` when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the table as aligned plain text.
@@ -170,7 +159,5 @@ mod tests {
     fn float_formatting() {
         assert_eq!(fmt_f64(1.23456), "1.235");
         assert_eq!(fmt_f64(1234.5), "1234.5");
-        assert_eq!(Table::new("x", "y", &["a"]).len(), 0);
-        assert!(Table::new("x", "y", &["a"]).is_empty());
     }
 }

@@ -1,31 +1,25 @@
-//! Shared workload driver used by the experiments and the Criterion
-//! benches.
+//! Shared workload drivers used by the experiments.
 //!
 //! [`drive_load`] submits a stream of broadcasts into a [`Cluster`], waits
 //! for cluster-wide delivery and reports throughput, latency and logging
 //! cost — the measurements that most experiments start from.
+//! [`drive_socket_load`] is its wall-clock twin for a [`TcpCluster`].
 
 use std::collections::BTreeMap;
 
-use abcast_core::{Cluster, ClusterConfig};
+use abcast_core::{Cluster, ClusterConfig, TcpCluster};
 use abcast_storage::StorageSnapshot;
 use abcast_types::{MsgId, ProcessId, SimDuration, SimTime};
 
 /// Outcome of one load run.
 #[derive(Clone, Debug)]
 pub struct LoadResult {
-    /// Number of messages that were successfully A-broadcast.
-    pub broadcast: usize,
     /// `true` if every process delivered every message before the deadline.
     pub all_delivered: bool,
-    /// Virtual time at which the run finished (all delivered, or deadline).
-    pub finished_at: SimTime,
     /// Mean latency from A-broadcast to local A-delivery at the sender, in
     /// milliseconds of virtual time (only over messages that were
     /// delivered).
     pub mean_latency_ms: f64,
-    /// 99th-percentile of the same latency distribution.
-    pub p99_latency_ms: f64,
     /// Throughput in messages per virtual second (delivered messages over
     /// the full run duration).
     pub throughput_msgs_per_sec: f64,
@@ -33,8 +27,6 @@ pub struct LoadResult {
     pub rounds: u64,
     /// Cluster-wide stable-storage activity during the run.
     pub storage: StorageSnapshot,
-    /// Messages sent over the transport during the run.
-    pub transport_sent: u64,
 }
 
 /// Submits `count` broadcasts of `payload_size` bytes, spaced `gap` apart,
@@ -48,7 +40,6 @@ pub fn drive_load(
     deadline_after_load: SimDuration,
 ) -> LoadResult {
     let storage_before = cluster.storage_totals();
-    let transport_before = cluster.sim().network_metrics().snapshot();
     let started = cluster.now();
 
     let mut submit_times: BTreeMap<MsgId, SimTime> = BTreeMap::new();
@@ -87,16 +78,13 @@ pub fn drive_load(
             }
         }
     }
+    // Summed in sorted order so the mean's rounding matches the baselines.
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let mean_latency_ms = if latencies_ms.is_empty() {
         0.0
     } else {
         latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64
     };
-    let p99_latency_ms = latencies_ms
-        .get(((latencies_ms.len() as f64 * 0.99) as usize).min(latencies_ms.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0);
 
     let elapsed = finished_at.duration_since(started).as_secs_f64().max(1e-9);
     let delivered = submit_times.len();
@@ -107,28 +95,19 @@ pub fn drive_load(
         .unwrap_or(0);
 
     LoadResult {
-        broadcast: submit_times.len(),
         all_delivered,
-        finished_at,
         mean_latency_ms,
-        p99_latency_ms,
         throughput_msgs_per_sec: delivered as f64 / elapsed,
         rounds,
         storage: cluster.storage_totals().since(&storage_before),
-        transport_sent: cluster.sim().network_metrics().snapshot().since(&transport_before).sent,
     }
 }
 
 /// Outcome of one load run over the socket transport (wall-clock time).
 #[derive(Clone, Debug)]
 pub struct SocketLoadResult {
-    /// Number of messages that were successfully A-broadcast.
-    pub broadcast: usize,
     /// `true` if every process delivered every message before the deadline.
     pub all_delivered: bool,
-    /// Wall-clock duration from the first broadcast until process 0 had
-    /// delivered everything.
-    pub elapsed: std::time::Duration,
     /// Mean A-broadcast → observed-A-delivery latency at process 0, in
     /// milliseconds of wall-clock time.  Observation is by polling, so
     /// each sample includes up to one poll interval of slack.
@@ -144,7 +123,7 @@ pub struct SocketLoadResult {
 /// Polls process `observer`'s delivery log, recording the first time each
 /// identity is seen delivered.
 fn poll_first_seen(
-    cluster: &abcast_core::TcpCluster,
+    cluster: &TcpCluster,
     observer: ProcessId,
     seen: &mut BTreeMap<MsgId, std::time::Instant>,
 ) {
@@ -166,7 +145,7 @@ fn poll_first_seen(
 /// documented as observational (each sample carries up to one poll
 /// interval of slack).
 pub fn drive_socket_load(
-    cluster: &mut abcast_core::TcpCluster,
+    cluster: &mut TcpCluster,
     count: usize,
     payload_size: usize,
     gap: std::time::Duration,
@@ -235,9 +214,7 @@ pub fn drive_socket_load(
     };
 
     SocketLoadResult {
-        broadcast: submit.len(),
         all_delivered,
-        elapsed,
         mean_latency_ms,
         p50_latency_ms: percentile(0.50),
         p99_latency_ms: percentile(0.99),
@@ -276,14 +253,11 @@ mod tests {
             16,
             SimDuration::from_millis(5),
         );
-        assert_eq!(result.broadcast, 10);
         assert!(result.all_delivered, "load must be delivered");
         assert!(result.mean_latency_ms > 0.0);
-        assert!(result.p99_latency_ms >= result.mean_latency_ms * 0.5);
         assert!(result.throughput_msgs_per_sec > 0.0);
         assert!(result.rounds >= 1);
         assert!(result.storage.write_ops() > 0);
-        assert!(result.transport_sent > 0);
         cluster.assert_properties();
     }
 
@@ -296,6 +270,5 @@ mod tests {
             SimDuration::from_millis(4),
         );
         assert!(result.all_delivered);
-        assert_eq!(result.broadcast, 8);
     }
 }

@@ -1,5 +1,6 @@
-//! `xtask`: workspace developer tooling, currently the determinism &
-//! durability linter behind `cargo xtask lint`.
+//! `xtask`: workspace developer tooling — the determinism & durability
+//! linter behind `cargo xtask lint`, the semantic analyzer behind
+//! `cargo xtask analyze`, and the line counter behind `cargo xtask loc`.
 //!
 //! The linter is a dependency-free static-analysis pass over every
 //! workspace `.rs` file (shims and lint fixtures excluded).  It tokenizes
@@ -33,6 +34,7 @@ pub mod model;
 pub mod report;
 pub mod rules;
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -93,6 +95,46 @@ pub fn analyze_workspace(root: &Path) -> io::Result<LintReport> {
         suppressions,
         rules: &analyze::ANALYZE_RULES,
     })
+}
+
+/// Counts the tracked size: non-test, non-comment, non-blank Rust lines
+/// in `crates/`, `src/` and `examples/`, keyed by crate (`root` for
+/// `src/`, `examples` for `examples/`).  `tests/` directories and
+/// `#[cfg(test)]` items are test code and not counted.
+pub fn count_loc(root: &Path) -> io::Result<BTreeMap<String, usize>> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, &mut files)?;
+    let mut counts = BTreeMap::new();
+    for rel in files {
+        let rel_str = rel.to_string_lossy().replace('\\', "/");
+        let parts: Vec<&str> = rel_str.split('/').collect();
+        let owner = match parts.as_slice() {
+            ["examples", ..] => "examples".to_string(),
+            ["crates", krate, "benches", ..] => krate.to_string(),
+            _ => match rules::src_crate(&rel_str) {
+                Some(krate) => krate,
+                None => continue,
+            },
+        };
+        let src = fs::read_to_string(root.join(&rel))?;
+        *counts.entry(owner).or_insert(0) += loc_of_source(&src);
+    }
+    Ok(counts)
+}
+
+/// Lines of `src` on which a token outside `#[cfg(test)]` items starts or
+/// which a multi-line literal outside them spans.
+pub fn loc_of_source(src: &str) -> usize {
+    let tokens = lexer::lex(src).tokens;
+    let mask = rules::test_mask(&tokens);
+    let mut lines = BTreeSet::new();
+    for (token, in_test) in tokens.iter().zip(mask) {
+        if !in_test {
+            let spanned = token.text.matches('\n').count() as u32;
+            lines.extend(token.line..=token.line + spanned);
+        }
+    }
+    lines.len()
 }
 
 /// Recursively collects `.rs` files, storing paths relative to `root`.

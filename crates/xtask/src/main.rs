@@ -3,6 +3,7 @@
 //! ```text
 //! cargo xtask lint    [--report <path>] [--root <dir>] [--deny-unused-allows]
 //! cargo xtask analyze [--report <path>] [--root <dir>] [--deny-unused-allows]
+//! cargo xtask loc
 //! ```
 //!
 //! `lint` runs the determinism & durability linter (lexical rules D1–S1)
@@ -12,6 +13,9 @@
 //! machine-readable JSON finding/suppression inventory (uploaded as a CI
 //! artifact), and `--deny-unused-allows` treats a suppression whose rule
 //! never fires on its line as a violation in its own right.
+//!
+//! `loc` prints the tracked size: non-test, non-comment, non-blank Rust
+//! lines per crate and in total, over `crates/`, `src/` and `examples/`.
 
 use std::env;
 use std::path::PathBuf;
@@ -22,15 +26,16 @@ fn main() -> ExitCode {
     let Some(command) = args.first() else {
         eprintln!(
             "usage: cargo xtask <lint|analyze> [--report <path>] [--root <dir>] \
-             [--deny-unused-allows]"
+             [--deny-unused-allows] | cargo xtask loc"
         );
         return ExitCode::FAILURE;
     };
     match command.as_str() {
         "lint" => run(Tool::Lint, &args[1..]),
         "analyze" => run(Tool::Analyze, &args[1..]),
+        "loc" => loc(&args[1..]),
         other => {
-            eprintln!("unknown xtask command `{other}` (available: lint, analyze)");
+            eprintln!("unknown xtask command `{other}` (available: lint, analyze, loc)");
             ExitCode::FAILURE
         }
     }
@@ -49,6 +54,27 @@ impl Tool {
             Tool::Analyze => "analyze",
         }
     }
+}
+
+fn loc(args: &[String]) -> ExitCode {
+    if let Some(arg) = args.first() {
+        eprintln!("xtask loc takes no arguments, got `{arg}`");
+        return ExitCode::FAILURE;
+    }
+    let cwd = env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    let root = xtask::find_workspace_root(&cwd);
+    let counts = match xtask::count_loc(&root) {
+        Ok(counts) => counts,
+        Err(err) => {
+            eprintln!("xtask loc: failed to scan {}: {err}", root.display());
+            return ExitCode::FAILURE;
+        }
+    };
+    for (owner, lines) in &counts {
+        println!("{owner:<12} {lines:>6}");
+    }
+    println!("{:<12} {:>6}", "total", counts.values().sum::<usize>());
+    ExitCode::SUCCESS
 }
 
 fn run(tool: Tool, args: &[String]) -> ExitCode {

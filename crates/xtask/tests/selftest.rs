@@ -2,7 +2,8 @@
 //! with the same workspace policy it enforces on everyone else (S1
 //! everywhere, plus D2/B1 — the linter opts into determinism and
 //! barrier discipline for its own code).  The semantic analyzer holds
-//! itself to the same standard.
+//! itself to the same standard, and the line counter is pinned on a
+//! fixture.
 
 use std::path::{Path, PathBuf};
 
@@ -35,6 +36,14 @@ fn the_analyzer_accepts_its_own_source() {
         .filter(|v| v.path.starts_with("crates/xtask/"))
         .collect();
     assert!(own.is_empty(), "the analyzer flags its own source: {own:#?}");
+}
+
+#[test]
+fn loc_counts_code_lines_outside_comments_and_test_modules() {
+    let src = include_str!("fixtures/loc_mixed.rs");
+    let marked = src.lines().filter(|l| l.ends_with("// +")).count();
+    assert_eq!(marked, 6);
+    assert_eq!(xtask::loc_of_source(src), marked);
 }
 
 #[test]

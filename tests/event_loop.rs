@@ -254,6 +254,9 @@ fn client_requests_on_sockets_are_ordered_identically() {
     assert_eq!(orders[0].len(), 6);
     assert!(orders.iter().all(|order| *order == orders[0]), "orders differ: {orders:?}");
     assert_eq!(cluster.decode_failures(), 0);
+    // Healthy loopback streams lose and tear nothing.
+    let tcp = runtime.tcp_metrics().snapshot();
+    assert_eq!((tcp.frames_dropped, tcp.torn_frames), (0, 0), "{tcp:?}");
     cluster.shutdown();
 }
 

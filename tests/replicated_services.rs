@@ -3,6 +3,9 @@
 //! certifying database — running over the full protocol stack with faults.
 
 use crash_recovery_abcast::replication::bank::BankCommand;
+use crash_recovery_abcast::replication::quorum::{
+    combine_read_replies, QuorumConfig, QuorumReadOutcome, ReadReply,
+};
 use crash_recovery_abcast::replication::state_machine::StateMachine;
 use crash_recovery_abcast::{
     Bank, CertifyingDatabase, ConsensusConfig, KvCommand, KvStore, LinkConfig, MsgId, ProcessId,
@@ -156,6 +159,81 @@ fn deferred_update_certification_is_identical_on_every_replica_under_faults() {
     for q in sim.processes().iter() {
         let state = sim.actor(q).unwrap().state();
         assert_eq!(state, &reference, "{q} certified a different history");
+    }
+}
+
+#[test]
+fn deferred_update_aborts_more_under_more_contention_and_replicas_agree() {
+    // Each transaction executes optimistically at a rotating home replica:
+    // it reads one key (recording its version) and writes another.  Fewer
+    // keys mean more stale reads at certification time.
+    let aborted = |keys: u64| {
+        let mut sim = Simulation::new(lan(3, 909), |_p, _s| {
+            Replica::<CertifyingDatabase>::new(
+                ProtocolConfig::alternative(),
+                ConsensusConfig::crash_recovery(),
+            )
+        });
+        let mut ids = Vec::new();
+        for txid in 0..40u64 {
+            let read_key = format!("k{}", (txid * 7) % keys);
+            let write_key = format!("k{}", (txid * 13 + 5) % keys);
+            if let Some(id) = sim.with_actor_mut(p((txid % 3) as u32), |replica, ctx| {
+                let (_, version) = replica.state().read(&read_key);
+                let tx = Transaction::new(txid)
+                    .read(read_key.clone(), version)
+                    .write(write_key.clone(), format!("t{txid}"));
+                replica.submit(&tx, ctx)
+            }) {
+                ids.push(id);
+            }
+            sim.run_for(SimDuration::from_millis(6));
+        }
+        assert!(wait_all_executed(&mut sim, &ids, SimTime::from_micros(600_000_000)));
+        let reference = sim.actor(p(0)).unwrap().state().clone();
+        for q in sim.processes().iter() {
+            assert_eq!(sim.actor(q).unwrap().state(), &reference, "{q} diverged at {keys} keys");
+        }
+        reference.aborted()
+    };
+    let (hot, cold) = (aborted(2), aborted(16));
+    assert!(hot > 0, "two keys must produce read-write conflicts");
+    assert!(hot >= cold, "2 keys aborted {hot}, 16 keys aborted {cold}");
+}
+
+#[test]
+fn majority_quorum_read_returns_the_latest_write_with_two_of_five_down() {
+    let mut sim = Simulation::new(lan(5, 1010), |_p, _s| {
+        Replica::<KvStore>::new(ProtocolConfig::alternative(), ConsensusConfig::crash_recovery())
+    });
+    sim.crash_now(p(3));
+    sim.crash_now(p(4));
+    let mut last = None;
+    for i in 0..5 {
+        let cmd = KvCommand::put("x", format!("v{i}"));
+        last = sim.with_actor_mut(p(0), |r, ctx| r.submit(&cmd, ctx));
+        sim.run_for(SimDuration::from_millis(10));
+    }
+    let last = last.expect("the writer is up");
+    assert!(sim.run_until(SimTime::from_micros(120_000_000), |sim| {
+        (0..3).all(|q| sim.actor(p(q)).is_some_and(|r| r.has_executed(last)))
+    }));
+
+    let replies: Vec<ReadReply<Option<String>>> = sim
+        .processes()
+        .iter()
+        .filter_map(|q| {
+            sim.actor(q).map(|replica| ReadReply {
+                replica: q,
+                version: replica.broadcast().agreed().total_delivered(),
+                value: replica.state().get("x").map(str::to_string),
+            })
+        })
+        .collect();
+    assert_eq!(replies.len(), 3, "only the three up replicas answer");
+    match combine_read_replies(&QuorumConfig::uniform_majority(5), &replies) {
+        QuorumReadOutcome::Value { value, .. } => assert_eq!(value.as_deref(), Some("v4")),
+        other => panic!("a majority of 5 is up, the read must succeed: {other:?}"),
     }
 }
 
