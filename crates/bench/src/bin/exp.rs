@@ -2,7 +2,7 @@
 //! `abcast_bench::experiments::EXPERIMENTS`.
 //!
 //! ```text
-//! exp <e01|e02|e03|e05|e08|e11|e12|e13|e15|e16|all> [--quick] [--out PATH]
+//! exp <e01|e02|e03|e08|e11|e12|e15|e16|all> [--quick] [--out PATH]
 //! ```
 //!
 //! Prints each table as plain text and markdown.  An experiment with a

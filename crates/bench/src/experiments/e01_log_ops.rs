@@ -5,8 +5,7 @@
 //! Consensus."  The basic protocol's only write is the proposal logged by
 //! the consensus substrate, so its per-message logging cost equals the
 //! consensus cost; the alternative protocol pays a bounded extra for its
-//! checkpoints and `Unordered` logging; a naive log-everything strawman
-//! pays far more.
+//! checkpoints and `Unordered` logging.
 
 use abcast_core::ClusterConfig;
 use abcast_types::{ProtocolConfig, SimDuration};
@@ -21,7 +20,6 @@ pub fn run(quick: bool) -> Table {
     let variants = [
         ("basic (minimal logging, §4)", ProtocolConfig::basic()),
         ("alternative (checkpointing, §5)", ProtocolConfig::alternative()),
-        ("naive (log everything)", ProtocolConfig::naive()),
     ];
 
     let mut table = Table::new(
@@ -70,33 +68,26 @@ pub fn run(quick: bool) -> Table {
          the transformation itself adds zero write operations",
     );
     table.note("alternative adds periodic (k, Agreed) checkpoints and Unordered logging");
-    table.note("naive logs every variable on every update and is an order of magnitude worse");
     table
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn basic_logs_less_than_alternative_which_logs_less_than_naive() {
+    fn basic_logs_less_than_alternative() {
         let table = super::run(true);
-        // Rows: [basic, alternative, naive] for n=3.
+        // Rows: [basic, alternative] for n=3.
         let ops: Vec<f64> = table
             .rows
             .iter()
             .map(|row| row[5].parse::<f64>().expect("ops column is numeric"))
             .collect();
-        assert_eq!(ops.len(), 3);
+        assert_eq!(ops.len(), 2);
         assert!(
             ops[0] < ops[1],
             "basic ({}) must log less than alternative ({})",
             ops[0],
             ops[1]
-        );
-        assert!(
-            ops[1] < ops[2],
-            "alternative ({}) must log less than naive ({})",
-            ops[1],
-            ops[2]
         );
     }
 }

@@ -5,11 +5,9 @@
 pub mod e01_log_ops;
 pub mod e02_recovery;
 pub mod e03_state_transfer;
-pub mod e05_incremental;
 pub mod e08_log_growth;
 pub mod e11_storage;
 pub mod e12_pipeline;
-pub mod e13_codec;
 pub mod e15_cluster;
 pub mod e16_wal;
 
@@ -38,7 +36,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in report order.
-pub static EXPERIMENTS: [Experiment; 10] = [
+pub static EXPERIMENTS: [Experiment; 8] = [
     Experiment {
         id: "e01",
         runner: Runner::Table(e01_log_ops::run),
@@ -50,10 +48,6 @@ pub static EXPERIMENTS: [Experiment; 10] = [
     Experiment {
         id: "e03",
         runner: Runner::Table(e03_state_transfer::run),
-    },
-    Experiment {
-        id: "e05",
-        runner: Runner::Table(e05_incremental::run),
     },
     Experiment {
         id: "e08",
@@ -76,19 +70,6 @@ pub static EXPERIMENTS: [Experiment; 10] = [
             run: |quick| {
                 let rows = e12_pipeline::run_rows(quick);
                 (e12_pipeline::table_from_rows(&rows), e12_pipeline::to_json(&rows, quick))
-            },
-        },
-    },
-    Experiment {
-        id: "e13",
-        runner: Runner::Baseline {
-            file: "BENCH_codec.json",
-            run: |quick| {
-                let (copies, pipeline) = e13_codec::run_rows(quick);
-                (
-                    e13_codec::table_from_rows(&copies, &pipeline),
-                    e13_codec::to_json(&copies, &pipeline, quick),
-                )
             },
         },
     },

@@ -3,18 +3,16 @@
 //! The paper (ICDCS 2000) has no quantitative evaluation section — its five
 //! figures are interfaces and pseudocode — so the reproduction turns its
 //! logging/recovery trade-off claims into simulated experiments, and adds
-//! count experiments for the storage, pipelining and codec layers:
+//! count experiments for the storage, pipelining and transport layers:
 //!
 //! | Id | Claim | Module |
 //! |----|-------|--------|
 //! | E1 | §4.3 minimal logging | [`experiments::e01_log_ops`] |
 //! | E2 | §5.1 checkpoints shorten recovery | [`experiments::e02_recovery`] |
 //! | E3 | §5.3 state transfer for lagging processes | [`experiments::e03_state_transfer`] |
-//! | E5 | §5.5 incremental logging reduces bytes | [`experiments::e05_incremental`] |
 //! | E8 | §5.2 application checkpoints bound log growth | [`experiments::e08_log_growth`] |
-//! | E11 | group-commit WAL vs per-op file syncs | [`experiments::e11_storage`] |
+//! | E11 | group-commit WAL: write ops per barrier | [`experiments::e11_storage`] |
 //! | E12 | pipelined rounds vs depth W | [`experiments::e12_pipeline`] |
-//! | E13 | zero-copy payload path | [`experiments::e13_codec`] |
 //! | E15 | socket cluster over a 2–5 ms link vs N and W | [`experiments::e15_cluster`] |
 //! | E16 | segmented WAL rotation + compaction | [`experiments::e16_wal`] |
 //!

@@ -33,12 +33,11 @@ use serde::{Deserialize, Serialize};
 use abcast_consensus::{ConsensusConfig, MultiConsensus, CONSENSUS_TIMER_SPAN};
 use abcast_net::{run_step_checked, Actor, ActorContext, MappedContext, TimerId};
 use abcast_storage::{
-    keys, FullSetLogger, IncrementalSetLogger, SetLogger, SnapshotDeltaPolicy, StorageKey,
-    TypedStorageExt, WriteBatch,
+    keys, IncrementalSetLogger, SnapshotDeltaPolicy, StorageKey, TypedStorageExt, WriteBatch,
 };
 use abcast_types::codec::{from_payload, to_payload, Encode};
 use abcast_types::{
-    AppMessage, LoggingPolicy, MsgId, Payload, ProcessId, ProtocolConfig, Result, Round, SimTime,
+    AppMessage, MsgId, Payload, ProcessId, ProtocolConfig, Result, Round, SimTime,
 };
 
 use crate::message::AbcastMsg;
@@ -169,7 +168,7 @@ pub struct AtomicBroadcast {
     epoch_established: bool,
 
     // --- logging machinery ---
-    unordered_logger: Box<dyn SetLogger<AppMessage> + Send>,
+    unordered_logger: IncrementalSetLogger<AppMessage>,
     /// Snapshot-vs-delta schedule for the `(k, Agreed)` checkpoint.
     agreed_policy: SnapshotDeltaPolicy,
     /// Round covered by the last persisted checkpoint record (so pure
@@ -228,14 +227,6 @@ impl AtomicBroadcast {
         )
     }
 
-    /// Creates the Chandra–Toueg-style crash-stop baseline used by
-    /// experiment E7: the same transformation, but crashes are assumed
-    /// definitive so neither the broadcast layer nor the consensus
-    /// substrate logs anything.
-    pub fn chandra_toueg_baseline() -> Self {
-        AtomicBroadcast::new(ProtocolConfig::basic(), ConsensusConfig::crash_stop())
-    }
-
     /// Creates a protocol instance with an application-supplied
     /// `A-checkpoint` upcall (Section 5.2, Figure 5).
     pub fn with_checkpoint_provider(
@@ -243,12 +234,6 @@ impl AtomicBroadcast {
         consensus: ConsensusConfig,
         provider: impl CheckpointProvider + 'static,
     ) -> Self {
-        let unordered_logger: Box<dyn SetLogger<AppMessage> + Send> = if config.incremental_logging
-        {
-            Box::new(IncrementalSetLogger::new(keys::unordered_incremental()))
-        } else {
-            Box::new(FullSetLogger::new(keys::unordered()))
-        };
         let agreed_policy = SnapshotDeltaPolicy::new(config.checkpoint_snapshot_every);
         AtomicBroadcast {
             config,
@@ -260,7 +245,7 @@ impl AtomicBroadcast {
             decisions: DecisionBuffer::new(),
             next_seq: 0,
             epoch_established: false,
-            unordered_logger,
+            unordered_logger: IncrementalSetLogger::new(keys::unordered_incremental()),
             agreed_policy,
             persisted_round: Round::ZERO,
             round_watermarks: BTreeMap::new(),
@@ -344,14 +329,8 @@ impl AtomicBroadcast {
         if !self.agreed.contains(id) {
             self.unordered.insert(message);
         }
-        match self.config.logging {
-            LoggingPolicy::Minimal => {}
-            LoggingPolicy::Checkpointing | LoggingPolicy::Naive => {
-                self.persist_unordered(ctx);
-                if self.config.logging == LoggingPolicy::Naive {
-                    self.persist_everything(ctx);
-                }
-            }
+        if self.config.logging.logs_unordered() {
+            self.persist_unordered(ctx);
         }
         self.try_advance(ctx);
         id
@@ -550,14 +529,6 @@ impl AtomicBroadcast {
         self.metrics.agreed_checkpoints_logged += 1;
     }
 
-    fn persist_everything(&mut self, ctx: &mut dyn ActorContext<AbcastMsg>) {
-        // The "naive" strawman of experiment E1: every variable on every
-        // update, always as a full rewrite.
-        self.agreed_policy.invalidate();
-        self.persist_agreed(ctx);
-        self.persist_unordered(ctx);
-    }
-
     // ------------------------------------------------------------------
     // The sequencer (Figure 2) as an idempotent advance function
     // ------------------------------------------------------------------
@@ -682,9 +653,6 @@ impl AtomicBroadcast {
         self.kp = self.kp.next();
         self.note_watermark();
         self.unordered.subtract_agreed(&self.agreed);
-        if self.config.logging == LoggingPolicy::Naive {
-            self.persist_everything(ctx);
-        }
     }
 
     /// Slack beyond Δ for which per-round delivery watermarks are kept —
@@ -1020,7 +988,6 @@ impl AtomicBroadcast {
             // covered by the (k, Agreed) record or the application
             // checkpoint.
             if self.config.logging.logs_unordered() {
-                let _ = ctx.storage().remove(&keys::unordered());
                 let _ = ctx.storage().remove(&keys::unordered_incremental());
                 self.unordered_logger.forget();
                 self.persist_unordered(ctx);
@@ -1355,13 +1322,22 @@ mod tests {
         let mut ctx = ctx_for(0, 3);
         let mut actor = alternative_actor();
         actor.on_start(&mut ctx);
-        actor.a_broadcast(b"m".to_vec(), &mut ctx);
-        let logged: Vec<Vec<AppMessage>> = ctx
-            .storage()
-            .load_log_values(&keys::unordered_incremental())
-            .unwrap();
-        assert_eq!(logged.len(), 1);
-        assert_eq!(logged[0].len(), 1);
+        // Round 0 never decides here, so the set only grows.  Each
+        // A-broadcast must append one record holding just its own message;
+        // rewriting the whole set would put every earlier message in it.
+        let mut ids = Vec::new();
+        for i in 0..5u8 {
+            ids.push(actor.a_broadcast(vec![i], &mut ctx));
+            let logged: Vec<Vec<AppMessage>> = ctx
+                .storage()
+                .load_log_values(&keys::unordered_incremental())
+                .unwrap();
+            assert_eq!(logged.len(), ids.len(), "one record per A-broadcast");
+            let newest: Vec<MsgId> = logged[ids.len() - 1].iter().map(AppMessage::id).collect();
+            assert_eq!(newest, ids[ids.len() - 1..], "the record holds only the new message");
+        }
+        assert_eq!(actor.round(), Round::ZERO, "round 0 is still in flight");
+        assert_eq!(actor.unordered_len(), ids.len());
     }
 
     #[test]
@@ -1688,15 +1664,21 @@ mod tests {
     #[test]
     fn committing_multiple_pipelined_rounds_pays_one_barrier() {
         // With W > 1 a single incoming message can release several parked
-        // rounds at once; the whole multi-round commit (consensus decision
-        // record plus every per-commit log write) must still run under the
-        // step's single durability barrier.
+        // rounds at once, and the freed window slots open new rounds; the
+        // whole step (the decision record, the commits and one proposal per
+        // newly opened round) must still run under one durability barrier.
         let mut ctx = ctx_for(0, 3);
         let mut actor = AtomicBroadcast::new(
-            ProtocolConfig::naive().with_pipeline_depth(4),
+            ProtocolConfig::alternative()
+                .with_batching(BatchingPolicy::EarlyReturn { max_batch: 1 })
+                .with_pipeline_depth(4),
             abcast_consensus::ConsensusConfig::crash_recovery(),
         );
         actor.on_start(&mut ctx);
+        // Our own four messages fill the window: one proposal per round 0..4.
+        for i in 0..4u8 {
+            actor.a_broadcast(vec![i], &mut ctx);
+        }
         let m0 = AppMessage::from_parts(ProcessId::new(1), 0, b"a".to_vec());
         let m1 = AppMessage::from_parts(ProcessId::new(1), 1, b"b".to_vec());
         let m2 = AppMessage::from_parts(ProcessId::new(1), 2, b"c".to_vec());
@@ -1709,8 +1691,12 @@ mod tests {
         let delta = ctx.storage().metrics().snapshot().since(&before);
         assert_eq!(actor.round(), Round::new(3), "three rounds committed");
         assert!(
+            (4..7).all(|k| actor.has_proposed(Round::new(k))),
+            "the three freed slots re-propose the messages the peer's rounds displaced"
+        );
+        assert!(
             delta.write_ops() >= 3,
-            "naive logging writes per committed round (wrote {} times)",
+            "the step writes per committed round (wrote {} times)",
             delta.write_ops()
         );
         assert_eq!(
@@ -2331,24 +2317,6 @@ mod tests {
         assert_eq!(
             delta.sync_ops, 1,
             "but the whole step commits under one durability barrier"
-        );
-    }
-
-    #[test]
-    fn naive_policy_logs_on_every_commit() {
-        let mut ctx = ctx_for(0, 3);
-        let mut actor = AtomicBroadcast::new(
-            ProtocolConfig::naive(),
-            abcast_consensus::ConsensusConfig::crash_recovery(),
-        );
-        actor.on_start(&mut ctx);
-        let before = ctx.storage().metrics().snapshot();
-        let m = AppMessage::from_parts(ProcessId::new(1), 0, b"x".to_vec());
-        actor.on_message(ProcessId::new(1), decided(0, vec![m]), &mut ctx);
-        let delta = ctx.storage().metrics().snapshot().since(&before);
-        assert!(
-            delta.write_ops() >= 2,
-            "naive policy must log agreed + unordered on commit"
         );
     }
 

@@ -48,9 +48,7 @@ pub use abcast_net::{
 };
 pub use abcast_replication::{Bank, CertifyingDatabase, KvCommand, KvStore, Replica, Transaction};
 pub use abcast_sim::{FaultPlan, SimConfig, Simulation};
-pub use abcast_storage::{
-    FileStorage, InMemoryStorage, StorageRegistry, WalStorage, WriteBatch,
-};
+pub use abcast_storage::{InMemoryStorage, StorageRegistry, WalStorage, WriteBatch};
 pub use abcast_types::{
     AppMessage, MsgId, Payload, ProcessId, ProcessSet, Round, SimDuration, SimTime,
 };

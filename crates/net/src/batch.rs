@@ -14,8 +14,7 @@
 //! the messages second**.  This preserves the protocol's write-ahead
 //! discipline — a value is on stable storage before any message referring
 //! to it leaves the process — while paying a single barrier per scope
-//! instead of one per write (on backends that support group commit; the
-//! plain file backend still pays per operation).
+//! instead of one per write.
 //!
 //! Scopes nest: a handler's own [`run_step`] scope commits *into* an
 //! enclosing one, so the barrier lands wherever the outermost scope

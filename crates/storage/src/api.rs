@@ -16,8 +16,8 @@
 //!   `Unordered` set, Section 5.5).
 //!
 //! Every implementation counts operations and bytes in a [`StorageMetrics`]
-//! so that experiments E1/E5/E8 can measure the logging cost of each
-//! protocol variant precisely.
+//! so that experiments E1/E8 and the benchmark's `storage.*` rows can
+//! measure the logging cost of each protocol variant precisely.
 
 use std::fmt;
 use std::sync::Arc;
@@ -89,10 +89,9 @@ pub trait StableStorage: Send + Sync {
 
     /// Reads the slot `key`, or `None` if it was never stored.
     ///
-    /// The returned buffer is a refcounted view: backends with an
-    /// in-memory image (memory, WAL) hand out a cheap clone of it, and the
-    /// file backend hands out a slice of the single read buffer — no
-    /// backend re-materializes the record.
+    /// The returned buffer is a refcounted view: the memory and WAL
+    /// backends hand out a cheap clone of their in-memory image, never a
+    /// re-materialized copy of the record.
     fn load(&self, key: &StorageKey) -> Result<Option<Bytes>>;
 
     /// Appends one record to the log `key`.
@@ -183,19 +182,6 @@ impl StorageRegistry {
             .map(|_| Arc::new(crate::memory::InMemoryStorage::new()) as SharedStorage)
             .collect();
         StorageRegistry::new(stores)
-    }
-
-    /// Builds a registry of `n` file-backed stores, one directory per
-    /// process under `base`.
-    pub fn file_in(base: impl AsRef<std::path::Path>, n: usize) -> Result<Self> {
-        let base = base.as_ref();
-        let stores = (0..n)
-            .map(|i| {
-                crate::file::FileStorage::open(base.join(format!("p{i}")))
-                    .map(|s| Arc::new(s) as SharedStorage)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(StorageRegistry::new(stores))
     }
 
     /// Builds a registry of `n` WAL-backed stores, one log per process

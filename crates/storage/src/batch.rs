@@ -75,9 +75,8 @@ impl BatchOp {
 /// committed with a single durability barrier.
 ///
 /// Operations are applied in staging order.  A batch is *not* crash-atomic
-/// on any backend: the plain file backend applies the operations one by
-/// one, and even the WAL — which writes the batch as one contiguous group
-/// of individually CRC-framed records — replays only the intact *prefix*
+/// on disk: the WAL writes the batch as one contiguous group of
+/// individually CRC-framed records and replays only the intact *prefix*
 /// of a group torn by a crash.  Callers therefore stage operations in an
 /// order that is safe to replay partially — which the protocol layers here
 /// always do (their writes are idempotent, and removals that depend on a

@@ -7,11 +7,11 @@
 //! value."
 //!
 //! [`IncrementalSetLogger`] implements exactly that optimisation for a set
-//! of [`Encode`]-able elements: each `persist` call writes only the elements
-//! added since the previous call (and nothing at all when the set did not
-//! change), while [`FullSetLogger`] rewrites the whole set every time.  Both
-//! expose the same interface so experiment E5 can swap them and compare
-//! bytes written.
+//! of [`Encode`]-able elements: each `persist` call appends only the
+//! elements added since the previous call (and nothing at all when the set
+//! did not change).  It is how the alternative protocol logs its
+//! `Unordered` set.  [`SnapshotDeltaPolicy`] carries the same idea over to
+//! the `(k, Agreed)` checkpoint.
 
 use std::collections::BTreeSet;
 
@@ -20,48 +20,6 @@ use abcast_types::Result;
 
 use crate::api::{StableStorage, StorageKey};
 use crate::typed::TypedStorageExt;
-
-/// Strategy for persisting a monotonically observed set of elements.
-pub trait SetLogger<T> {
-    /// Persists the current contents of `set`, or the part of it that needs
-    /// persisting.  Returns the number of elements actually written (0 when
-    /// the write was skipped entirely).
-    fn persist(&mut self, storage: &dyn StableStorage, set: &BTreeSet<T>) -> Result<usize>;
-
-    /// Reconstructs the most recently persisted set from stable storage.
-    fn recover(&self, storage: &dyn StableStorage) -> Result<BTreeSet<T>>;
-
-    /// Forgets any volatile bookkeeping, as a crash would.  The next
-    /// `persist` must still produce a log from which `recover` returns a
-    /// superset of what was persisted before the crash.
-    fn forget(&mut self);
-}
-
-/// Logs the full value of the set on every call (the unoptimised behaviour).
-#[derive(Debug, Clone)]
-pub struct FullSetLogger {
-    key: StorageKey,
-}
-
-impl FullSetLogger {
-    /// Creates a full-value logger writing to slot `key`.
-    pub fn new(key: StorageKey) -> Self {
-        FullSetLogger { key }
-    }
-}
-
-impl<T: Encode + Decode + Ord + Clone> SetLogger<T> for FullSetLogger {
-    fn persist(&mut self, storage: &dyn StableStorage, set: &BTreeSet<T>) -> Result<usize> {
-        storage.store_value(&self.key, set)?;
-        Ok(set.len())
-    }
-
-    fn recover(&self, storage: &dyn StableStorage) -> Result<BTreeSet<T>> {
-        Ok(storage.load_value(&self.key)?.unwrap_or_default())
-    }
-
-    fn forget(&mut self) {}
-}
 
 /// Logs only the elements added since the previous `persist` call.
 ///
@@ -77,7 +35,7 @@ pub struct IncrementalSetLogger<T> {
     last_persisted: BTreeSet<T>,
 }
 
-impl<T: Ord + Clone> IncrementalSetLogger<T> {
+impl<T: Encode + Decode + Ord + Clone> IncrementalSetLogger<T> {
     /// Creates an incremental logger appending to log `key`.
     pub fn new(key: StorageKey) -> Self {
         IncrementalSetLogger {
@@ -90,10 +48,10 @@ impl<T: Ord + Clone> IncrementalSetLogger<T> {
     pub fn persisted_len(&self) -> usize {
         self.last_persisted.len()
     }
-}
 
-impl<T: Encode + Decode + Ord + Clone> SetLogger<T> for IncrementalSetLogger<T> {
-    fn persist(&mut self, storage: &dyn StableStorage, set: &BTreeSet<T>) -> Result<usize> {
+    /// Appends the elements of `set` not yet persisted.  Returns the number
+    /// of elements written (0 when the write was skipped entirely).
+    pub fn persist(&mut self, storage: &dyn StableStorage, set: &BTreeSet<T>) -> Result<usize> {
         let new_elements: Vec<T> = set
             .iter()
             .filter(|e| !self.last_persisted.contains(*e))
@@ -111,12 +69,16 @@ impl<T: Encode + Decode + Ord + Clone> SetLogger<T> for IncrementalSetLogger<T> 
         Ok(new_elements.len())
     }
 
-    fn recover(&self, storage: &dyn StableStorage) -> Result<BTreeSet<T>> {
+    /// Reconstructs the persisted set: the union of every appended record.
+    pub fn recover(&self, storage: &dyn StableStorage) -> Result<BTreeSet<T>> {
         let increments: Vec<Vec<T>> = storage.load_log_values(&self.key)?;
         Ok(increments.into_iter().flatten().collect())
     }
 
-    fn forget(&mut self) {
+    /// Forgets the volatile bookkeeping, as a crash would.  The next
+    /// `persist` re-appends what it no longer knows is logged, so `recover`
+    /// still returns a superset of everything persisted before.
+    pub fn forget(&mut self) {
         self.last_persisted.clear();
     }
 }
@@ -239,19 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn full_logger_rewrites_everything() {
-        let storage = InMemoryStorage::new();
-        let mut logger = FullSetLogger::new(StorageKey::new("s"));
-        assert_eq!(logger.persist(&storage, &set(&[1, 2])).unwrap(), 2);
-        assert_eq!(logger.persist(&storage, &set(&[1, 2, 3])).unwrap(), 3);
-        assert_eq!(
-            SetLogger::<u64>::recover(&logger, &storage).unwrap(),
-            set(&[1, 2, 3])
-        );
-        assert_eq!(storage.metrics().snapshot().store_ops, 2);
-    }
-
-    #[test]
     fn incremental_logger_writes_only_new_elements() {
         let storage = InMemoryStorage::new();
         let mut logger = IncrementalSetLogger::<u64>::new(StorageKey::new("s"));
@@ -263,28 +212,50 @@ mod tests {
         assert_eq!(storage.metrics().snapshot().append_ops, 2);
     }
 
-    #[test]
-    fn incremental_logger_writes_fewer_bytes_than_full() {
-        let full_storage = InMemoryStorage::new();
-        let incr_storage = InMemoryStorage::new();
-        let mut full = FullSetLogger::new(StorageKey::new("s"));
-        let mut incr = IncrementalSetLogger::<u64>::new(StorageKey::new("s"));
-        let mut current = BTreeSet::new();
-        for i in 0u64..50 {
-            current.insert(i);
-            full.persist(&full_storage, &current).unwrap();
-            incr.persist(&incr_storage, &current).unwrap();
+    /// Persists each successive union of `additions` and checks the logger
+    /// against a model: the recovered set is everything persisted, and the
+    /// bytes appended are exactly the encoded new-element vectors of the
+    /// persists that found something new — never a rewrite of the set.
+    fn check_against_model(additions: &[Vec<u64>]) -> std::result::Result<(), String> {
+        let storage = InMemoryStorage::new();
+        let mut logger = IncrementalSetLogger::<u64>::new(StorageKey::new("s"));
+        let mut current: BTreeSet<u64> = BTreeSet::new();
+        let mut expected_bytes = 0u64;
+        for batch in additions {
+            let new: Vec<u64> = batch
+                .iter()
+                .copied()
+                .collect::<BTreeSet<u64>>()
+                .difference(&current)
+                .copied()
+                .collect();
+            current.extend(batch);
+            let written = logger.persist(&storage, &current).unwrap();
+            if written != new.len() {
+                return Err(format!("persist wrote {written} elements, {} were new", new.len()));
+            }
+            if !new.is_empty() {
+                expected_bytes += new.encoded_len() as u64;
+            }
         }
-        assert_eq!(
-            SetLogger::<u64>::recover(&full, &full_storage).unwrap(),
-            incr.recover(&incr_storage).unwrap()
-        );
-        assert!(
-            incr_storage.metrics().bytes_written() < full_storage.metrics().bytes_written(),
-            "incremental ({}) should write fewer bytes than full ({})",
-            incr_storage.metrics().bytes_written(),
-            full_storage.metrics().bytes_written()
-        );
+        let recovered = logger.recover(&storage).unwrap();
+        if recovered != current {
+            return Err(format!("recovered {recovered:?}, persisted {current:?}"));
+        }
+        let written = storage.metrics().snapshot();
+        if written.store_ops != 0 || written.bytes_written != expected_bytes {
+            return Err(format!(
+                "{} stores, {} bytes appended; model says 0 stores, {expected_bytes} bytes",
+                written.store_ops, written.bytes_written
+            ));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn incremental_logger_appends_exactly_the_new_elements() {
+        let growing: Vec<Vec<u64>> = (0u64..50).map(|i| vec![i]).collect();
+        check_against_model(&growing).unwrap();
     }
 
     #[test]
@@ -382,27 +353,10 @@ mod tests {
 
     proptest! {
         #[test]
-        fn prop_incremental_and_full_recover_the_same_set(
+        fn prop_incremental_logger_matches_the_model(
             additions in proptest::collection::vec(
                 proptest::collection::vec(0u64..1000, 0..10), 1..20)) {
-            let full_storage = InMemoryStorage::new();
-            let incr_storage = InMemoryStorage::new();
-            let mut full = FullSetLogger::new(StorageKey::new("s"));
-            let mut incr = IncrementalSetLogger::<u64>::new(StorageKey::new("s"));
-            let mut current: BTreeSet<u64> = BTreeSet::new();
-            for batch in additions {
-                current.extend(batch);
-                full.persist(&full_storage, &current).unwrap();
-                incr.persist(&incr_storage, &current).unwrap();
-            }
-            prop_assert_eq!(
-                SetLogger::<u64>::recover(&full, &full_storage).unwrap(),
-                current.clone()
-            );
-            prop_assert_eq!(incr.recover(&incr_storage).unwrap(), current);
-            // Incremental never writes more bytes than full rewriting.
-            prop_assert!(incr_storage.metrics().bytes_written()
-                <= full_storage.metrics().bytes_written() + 8 * 20);
+            prop_assert_eq!(check_against_model(&additions), Ok(()));
         }
 
         #[test]

@@ -10,8 +10,7 @@
 //! |-----|------|-----------|-------|
 //! | `abcast/agreed` | slot | checkpoint task: full `(k, Agreed)` snapshot | §5.1 |
 //! | `abcast/agreed/delta` | log | checkpoint task: `(k, new messages)` since the snapshot | §5.1+§5.5 |
-//! | `abcast/unordered` | slot/log | `A-broadcast` when early-return batching is on | §5.4 |
-//! | `abcast/unordered/incr` | log | incremental variant of the above | §5.5 |
+//! | `abcast/unordered/incr` | log | `A-broadcast` (alternative protocol): the `Unordered` messages added since the previous append | §5.4+§5.5 |
 //! | `consensus/<k>/proposal` | slot | consensus proposer, first operation of the instance | §4.2 |
 //! | `consensus/<k>/promised` | slot | consensus acceptor | §3.2 |
 //! | `consensus/<k>/accepted` | slot | consensus acceptor | §3.2 |
@@ -47,12 +46,8 @@ pub fn agreed_delta() -> StorageKey {
 }
 
 /// Key of the logged `Unordered` set (Section 5.4, early-return
-/// `A-broadcast`).
-pub fn unordered() -> StorageKey {
-    StorageKey::new("abcast/unordered")
-}
-
-/// Key of the incremental log of `Unordered` additions (Section 5.5).
+/// `A-broadcast`): each record holds the messages added since the previous
+/// one (Section 5.5).
 pub fn unordered_incremental() -> StorageKey {
     StorageKey::new("abcast/unordered/incr")
 }
@@ -151,14 +146,13 @@ mod tests {
         let k = Round::new(17);
         assert_eq!(parse_consensus_decided(&consensus_decided(k)), Some(k));
         assert_eq!(parse_consensus_decided(&consensus_promised(k)), None);
-        assert_eq!(parse_consensus_decided(&unordered()), None);
+        assert_eq!(parse_consensus_decided(&unordered_incremental()), None);
     }
 
     #[test]
     fn fixed_keys_are_stable() {
         assert_eq!(agreed_checkpoint().as_str(), "abcast/agreed");
         assert_eq!(agreed_delta().as_str(), "abcast/agreed/delta");
-        assert_eq!(unordered().as_str(), "abcast/unordered");
         assert_eq!(unordered_incremental().as_str(), "abcast/unordered/incr");
         assert_eq!(consensus_floor().as_str(), "consensus/floor");
     }
@@ -166,7 +160,7 @@ mod tests {
     #[test]
     fn abcast_keys_share_the_prefix() {
         assert!(agreed_checkpoint().has_prefix(ABCAST_PREFIX));
-        assert!(unordered().has_prefix(ABCAST_PREFIX));
+        assert!(unordered_incremental().has_prefix(ABCAST_PREFIX));
         assert!(consensus_decided(Round::new(1)).has_prefix(CONSENSUS_PREFIX));
     }
 }

@@ -12,7 +12,6 @@
 //!   protocol step's writes;
 //! * [`InMemoryStorage`] — crash-surviving in-memory backend used by the
 //!   deterministic simulator, tests and benchmarks;
-//! * [`FileStorage`] — file-backed backend used by the runnable examples;
 //! * [`WalStorage`] — group-committed, CRC-framed, *segmented* write-ahead
 //!   log backend: the active segment takes group commits and is rotated at
 //!   a size threshold, a background worker compacts sealed segments into a
@@ -23,9 +22,11 @@
 //! * [`TypedStorageExt`] — typed reads/writes through the binary codec;
 //! * [`keys`] — the documented key layout used by the protocol stack;
 //! * [`StorageMetrics`] — per-operation, per-byte and per-barrier
-//!   accounting, the basis of the logging experiments (E1, E5, E8, E11);
-//! * [`IncrementalSetLogger`] / [`FullSetLogger`] / [`SnapshotDeltaPolicy`]
-//!   — the incremental logging optimisation of Section 5.5.
+//!   accounting, which the `exp` experiments and the benchmark's
+//!   `storage.*` rows read;
+//! * [`IncrementalSetLogger`] / [`SnapshotDeltaPolicy`] — the incremental
+//!   logging of Section 5.5 for the `Unordered` set and the `(k, Agreed)`
+//!   checkpoint.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,6 @@
 pub mod api;
 pub mod batch;
 pub mod faulty;
-pub mod file;
 pub mod incremental;
 pub mod keys;
 pub mod memory;
@@ -44,8 +44,7 @@ pub mod wal;
 pub use api::{SharedStorage, StableStorage, StorageKey, StorageRegistry};
 pub use batch::{BatchOp, StagedStorage, WriteBatch};
 pub use faulty::{FaultSchedule, FaultyStorage, InjectedFaults, WriteFaultKind};
-pub use file::FileStorage;
-pub use incremental::{FullSetLogger, IncrementalSetLogger, SetLogger, SnapshotDeltaPolicy};
+pub use incremental::{IncrementalSetLogger, SnapshotDeltaPolicy};
 pub use memory::InMemoryStorage;
 pub use metrics::{StorageMetrics, StorageSnapshot};
 pub use typed::TypedStorageExt;

@@ -5,14 +5,15 @@
 //! *deployment*, not by the process actor, so crashing an actor (dropping
 //! all of its volatile state) leaves the map untouched — exactly the
 //! semantics of Section 2.1.  The implementation is also used by unit tests
-//! and benchmarks because it is fast and needs no filesystem.
+//! and benchmarks because it is fast and needs no filesystem.  Loads hand
+//! out refcounted views of the stored records, never copies.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use abcast_types::{copymeter, Result};
+use abcast_types::Result;
 
 use crate::api::{StableStorage, StorageKey};
 use crate::batch::{BatchOp, WriteBatch};
@@ -75,10 +76,8 @@ impl StableStorage for InMemoryStorage {
 
     fn load(&self, key: &StorageKey) -> Result<Option<Bytes>> {
         let records = self.records.lock();
-        // A load is a refcounted view of the stored record, not a copy
-        // (`copymeter::loan` re-materializes it only in the eager-copy
-        // baseline mode of experiment E13).
-        let value = records.slots.get(key).map(copymeter::loan);
+        // A load is a refcounted view of the stored record, not a copy.
+        let value = records.slots.get(key).cloned();
         self.metrics
             .record_load(value.as_ref().map(Bytes::len).unwrap_or(0));
         Ok(value)
@@ -98,11 +97,7 @@ impl StableStorage for InMemoryStorage {
 
     fn load_log(&self, key: &StorageKey) -> Result<Vec<Bytes>> {
         let records = self.records.lock();
-        let entries: Vec<Bytes> = records
-            .logs
-            .get(key)
-            .map(|entries| entries.iter().map(copymeter::loan).collect())
-            .unwrap_or_default();
+        let entries: Vec<Bytes> = records.logs.get(key).cloned().unwrap_or_default();
         self.metrics
             .record_load(entries.iter().map(Bytes::len).sum());
         Ok(entries)

@@ -1,9 +1,10 @@
 //! Group-committed, segmented write-ahead-log stable storage.
 //!
-//! The file backend pays one durability barrier per `log` operation (and a
-//! temp-file + rename per slot overwrite).  This backend instead funnels
-//! *every* mutation — slot overwrites, log appends, removals — through an
-//! append-only journal per process, organized as **rotated segments**:
+//! A naive on-disk store pays one durability barrier per `log` operation
+//! (and a temp-file + rename per slot overwrite).  This backend instead
+//! funnels *every* mutation — slot overwrites, log appends, removals —
+//! through an append-only journal per process, organized as **rotated
+//! segments**:
 //!
 //! * each mutation is one **CRC-framed record** (`len ‖ crc32 ‖ payload`);
 //! * a committed [`WriteBatch`] becomes one contiguous group of records
@@ -51,7 +52,7 @@ use std::thread::JoinHandle;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
-use abcast_types::copymeter::{self, CopyMode};
+use abcast_types::copymeter;
 use abcast_types::{Result, Round};
 
 use crate::api::{StableStorage, StorageKey};
@@ -248,7 +249,7 @@ impl WalStorage {
         // the live records then, so replay memory is O(live), not
         // O(journal).  The predicate mirrors the compaction trigger.
         let replayed = base_bytes + sealed_bytes + outcome.intact_len;
-        if copymeter::mode() == CopyMode::ZeroCopy && replayed > 2 * state.live_bytes {
+        if replayed > 2 * state.live_bytes {
             for value in state.slots.values_mut() {
                 copymeter::record_copy(value.len());
                 *value = Bytes::copy_from_slice(value);
@@ -544,10 +545,8 @@ impl StableStorage for WalStorage {
 
     fn load(&self, key: &StorageKey) -> Result<Option<Bytes>> {
         let inner = self.shared.inner.lock();
-        // A refcounted view of the materialized record, not a copy
-        // (`copymeter::loan` re-materializes only in the eager baseline
-        // mode, which is exactly what the pre-refactor `.cloned()` did).
-        let value = inner.state.slots.get(key).map(copymeter::loan);
+        // A refcounted view of the materialized record, not a copy.
+        let value = inner.state.slots.get(key).cloned();
         self.shared
             .metrics
             .record_load(value.as_ref().map(Bytes::len).unwrap_or(0));
@@ -569,12 +568,7 @@ impl StableStorage for WalStorage {
 
     fn load_log(&self, key: &StorageKey) -> Result<Vec<Bytes>> {
         let inner = self.shared.inner.lock();
-        let entries: Vec<Bytes> = inner
-            .state
-            .logs
-            .get(key)
-            .map(|entries| entries.iter().map(copymeter::loan).collect())
-            .unwrap_or_default();
+        let entries: Vec<Bytes> = inner.state.logs.get(key).cloned().unwrap_or_default();
         self.shared
             .metrics
             .record_load(entries.iter().map(Bytes::len).sum());

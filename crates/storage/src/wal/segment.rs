@@ -29,7 +29,6 @@ use std::path::{Path, PathBuf};
 use bytes::Bytes;
 
 use abcast_types::codec::{Decoder, Encoder};
-use abcast_types::copymeter::{self, CopyMode};
 use abcast_types::{AbcastError, Result};
 
 use crate::api::StorageKey;
@@ -184,9 +183,8 @@ pub(crate) fn record_cost(key_len: usize, value_len: usize) -> u64 {
 ///
 /// On disk every record is `len(u32) ‖ crc32(u32) ‖ tag ‖ key ‖ [value]`
 /// (key and value carry u64 length prefixes).  Values go through
-/// [`Encoder::put_payload`], so a *chunked* encoder keeps them as shared
-/// refcounted segments for a vectored write (no flattening), while a
-/// buffering encoder materializes — and counts — the copies.  `scratch` is
+/// [`Encoder::put_payload`], so the chunked encoder keeps them as shared
+/// refcounted segments for a vectored write (no flattening).  `scratch` is
 /// a reused per-record buffer holding the payload metadata so the record
 /// checksum (which precedes the payload on disk) can be computed streaming
 /// before anything is emitted.
@@ -219,28 +217,18 @@ fn encode_group(ops: &[BatchOp], enc: &mut Encoder, scratch: &mut Vec<u8>) {
     }
 }
 
-/// Writes `ops` as one record group with as few copies as the mode allows:
-/// a chunked encoding fed to interleaved vectored writes normally (payload
-/// bytes go from the protocol state to the `writev` syscall uncopied), one
-/// exactly pre-sized flattened buffer in the [`CopyMode::Eager`] baseline
-/// of experiment E13.  Returns the journal bytes written.
+/// Writes `ops` as one record group: a chunked encoding fed to interleaved
+/// vectored writes, so payload bytes go from the protocol state to the
+/// `writev` syscall uncopied.  Returns the journal bytes written.
 pub(crate) fn write_group_to(file: &mut File, ops: &[BatchOp]) -> Result<u64> {
     let total: usize = ops.iter().map(record_encoded_len).sum();
     let mut scratch = Vec::new();
-    if copymeter::mode() == CopyMode::Eager {
-        let mut enc = Encoder::with_capacity(total);
-        encode_group(ops, &mut enc, &mut scratch);
-        debug_assert_eq!(enc.len(), total, "record groups must be pre-sized exactly");
-        debug_assert!(!enc.reallocated(), "no mid-encode reallocation on the WAL path");
-        file.write_all(&enc.into_bytes())?;
-    } else {
-        let mut enc = Encoder::chunked();
-        encode_group(ops, &mut enc, &mut scratch);
-        debug_assert_eq!(enc.len(), total, "record groups must be pre-sized exactly");
-        let segments = enc.into_chunks();
-        let parts: Vec<&[u8]> = segments.iter().map(|b| &b[..]).collect();
-        write_all_vectored(file, &parts)?;
-    }
+    let mut enc = Encoder::chunked();
+    encode_group(ops, &mut enc, &mut scratch);
+    debug_assert_eq!(enc.len(), total, "record groups must be pre-sized exactly");
+    let segments = enc.into_chunks();
+    let parts: Vec<&[u8]> = segments.iter().map(|b| &b[..]).collect();
+    write_all_vectored(file, &parts)?;
     Ok(total as u64)
 }
 

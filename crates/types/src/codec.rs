@@ -6,8 +6,7 @@
 //! length-prefixed, little-endian codec: it is deterministic, versioned by
 //! construction (each record type owns its layout) and lets the storage
 //! substrate measure *exactly* how many bytes each log operation writes —
-//! which is what experiments E1 and E5 (minimal and incremental logging)
-//! measure.
+//! which is what experiment E1 (minimal logging) measures.
 //!
 //! The API mirrors the usual `Encode`/`Decode` pair:
 //!
@@ -38,14 +37,14 @@
 //!   hook).
 //!
 //! Every payload memcpy that still happens is counted by
-//! [`crate::copymeter`], which experiment E13 reads.
+//! [`crate::copymeter`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use bytes::Bytes;
 
-use crate::copymeter::{self, CopyMode};
+use crate::copymeter;
 
 /// Error produced when decoding malformed or truncated bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,8 +232,8 @@ impl Encoder {
     /// In a chunked encoder the payload is appended as a refcounted segment
     /// — no copy.  In a buffering encoder the payload's bytes must be
     /// flattened into the buffer; that memcpy is recorded with the
-    /// [`crate::copymeter`] so experiment E13 can count what the wire/WAL
-    /// paths still copy.  A counting encoder only measures.
+    /// [`crate::copymeter`], which counts what the wire/WAL paths still
+    /// copy.  A counting encoder only measures.
     pub fn put_payload(&mut self, v: &Bytes) {
         self.put_u64(v.len() as u64);
         match &mut self.sink {
@@ -406,10 +405,9 @@ impl<'a> Decoder<'a> {
 
     /// Reads a length-prefixed *payload*.
     ///
-    /// When the decoder was built [`Decoder::over`] a refcounted buffer
-    /// (and the thread is in the default [`CopyMode::ZeroCopy`]), the
-    /// returned `Bytes` is a zero-copy view of that buffer.  Otherwise the
-    /// payload is copied out and the copy is recorded with the
+    /// When the decoder was built [`Decoder::over`] a refcounted buffer,
+    /// the returned `Bytes` is a zero-copy view of that buffer.  Otherwise
+    /// the payload is copied out and the copy is recorded with the
     /// [`crate::copymeter`].
     pub fn take_payload(&mut self) -> Result<Bytes, DecodeError> {
         let len = self.take_u64()? as usize;
@@ -419,10 +417,8 @@ impl<'a> Decoder<'a> {
         let start = self.pos;
         self.pos += len;
         match self.backing {
-            Some(backing) if copymeter::mode() == CopyMode::ZeroCopy => {
-                Ok(backing.slice(start..start + len))
-            }
-            _ => {
+            Some(backing) => Ok(backing.slice(start..start + len)),
+            None => {
                 copymeter::record_copy(len);
                 Ok(Bytes::copy_from_slice(&self.buf[start..start + len]))
             }

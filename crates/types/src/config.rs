@@ -41,15 +41,16 @@ impl Default for TimerConfig {
     }
 }
 
-/// Which protocol variant performs which stable-storage writes.
+/// Which protocol variant performs which stable-storage writes — the
+/// paper's one logging split.
 ///
 /// * `Minimal` is the basic protocol of Section 4: the only log operation is
 ///   the proposal written at the start of each consensus instance.
 /// * `Checkpointing` is the alternative protocol of Section 5: it
 ///   additionally logs `(k, Agreed)` periodically and the `Unordered` set on
-///   `A-broadcast`, enabling faster recovery and early return.
-/// * `Naive` is a strawman that logs every variable on every update; it only
-///   exists as a baseline for experiment E1.
+///   `A-broadcast`, enabling faster recovery and early return.  Both are
+///   logged incrementally (Section 5.5): delta records between snapshots
+///   for `(k, Agreed)`, and only the newly added messages for `Unordered`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LoggingPolicy {
     /// Log only consensus proposals (basic protocol, Section 4).
@@ -57,19 +58,17 @@ pub enum LoggingPolicy {
     /// Log proposals plus periodic `(k, Agreed)` checkpoints and the
     /// `Unordered` set (alternative protocol, Section 5).
     Checkpointing,
-    /// Log every state variable on every update (strawman baseline).
-    Naive,
 }
 
 impl LoggingPolicy {
-    /// `true` for policies that persist `(k, Agreed)` checkpoints.
+    /// `true` for the policy that persists `(k, Agreed)` checkpoints.
     pub fn logs_agreed(self) -> bool {
-        !matches!(self, LoggingPolicy::Minimal)
+        self == LoggingPolicy::Checkpointing
     }
 
-    /// `true` for policies that persist the `Unordered` set on broadcast.
+    /// `true` for the policy that persists the `Unordered` set on broadcast.
     pub fn logs_unordered(self) -> bool {
-        !matches!(self, LoggingPolicy::Minimal)
+        self == LoggingPolicy::Checkpointing
     }
 }
 
@@ -134,9 +133,6 @@ pub struct ProtocolConfig {
     pub recovery: RecoveryPolicy,
     /// Batching behaviour of `A-broadcast`.
     pub batching: BatchingPolicy,
-    /// Whether logging of sets is incremental (Section 5.5): only the part
-    /// of a value that changed since the previous log operation is written.
-    pub incremental_logging: bool,
     /// Whether application-level checkpoints replace the prefix of the
     /// `Agreed` queue (Section 5.2), bounding log growth.
     pub application_checkpoints: bool,
@@ -170,7 +166,6 @@ impl ProtocolConfig {
             logging: LoggingPolicy::Minimal,
             recovery: RecoveryPolicy::ReplayConsensus,
             batching: BatchingPolicy::WaitForAgreed,
-            incremental_logging: false,
             application_checkpoints: false,
             checkpoint_snapshot_every: 16,
             pipeline_depth: 1,
@@ -187,18 +182,9 @@ impl ProtocolConfig {
             logging: LoggingPolicy::Checkpointing,
             recovery: RecoveryPolicy::StateTransfer { delta: 8 },
             batching: BatchingPolicy::EarlyReturn { max_batch: 64 },
-            incremental_logging: true,
             application_checkpoints: true,
             checkpoint_snapshot_every: 16,
             pipeline_depth: 1,
-        }
-    }
-
-    /// A log-everything strawman used as a baseline in experiment E1.
-    pub fn naive() -> Self {
-        ProtocolConfig {
-            logging: LoggingPolicy::Naive,
-            ..ProtocolConfig::alternative()
         }
     }
 
@@ -224,12 +210,6 @@ impl ProtocolConfig {
     /// Sets the batching policy.
     pub fn with_batching(mut self, batching: BatchingPolicy) -> Self {
         self.batching = batching;
-        self
-    }
-
-    /// Enables or disables incremental logging (Section 5.5).
-    pub fn with_incremental_logging(mut self, enabled: bool) -> Self {
-        self.incremental_logging = enabled;
         self
     }
 
@@ -264,7 +244,6 @@ mod tests {
         assert_eq!(c.logging, LoggingPolicy::Minimal);
         assert_eq!(c.recovery, RecoveryPolicy::ReplayConsensus);
         assert_eq!(c.batching, BatchingPolicy::WaitForAgreed);
-        assert!(!c.incremental_logging);
         assert!(!c.application_checkpoints);
         assert!(!c.logging.logs_agreed());
         assert!(!c.logging.logs_unordered());
@@ -279,7 +258,6 @@ mod tests {
         assert!(c.logging.logs_unordered());
         assert_eq!(c.recovery.delta(), Some(8));
         assert!(matches!(c.batching, BatchingPolicy::EarlyReturn { .. }));
-        assert!(c.incremental_logging);
         assert!(c.application_checkpoints);
     }
 
@@ -295,14 +273,12 @@ mod tests {
             .with_checkpoint_period(SimDuration::from_millis(50))
             .with_delta(3)
             .with_batching(BatchingPolicy::EarlyReturn { max_batch: 10 })
-            .with_incremental_logging(true)
             .with_application_checkpoints(true)
             .with_checkpoint_snapshot_every(0);
         assert_eq!(c.timers.gossip_period, SimDuration::from_millis(5));
         assert_eq!(c.timers.checkpoint_period, SimDuration::from_millis(50));
         assert_eq!(c.recovery.delta(), Some(3));
         assert_eq!(c.batching.max_batch(), 10);
-        assert!(c.incremental_logging);
         assert!(c.application_checkpoints);
         assert_eq!(c.checkpoint_snapshot_every, 1, "clamped to at least 1");
     }
@@ -323,13 +299,5 @@ mod tests {
     #[test]
     fn wait_for_agreed_has_unbounded_batch() {
         assert_eq!(BatchingPolicy::WaitForAgreed.max_batch(), usize::MAX);
-    }
-
-    #[test]
-    fn naive_policy_logs_everything() {
-        let c = ProtocolConfig::naive();
-        assert_eq!(c.logging, LoggingPolicy::Naive);
-        assert!(c.logging.logs_agreed());
-        assert!(c.logging.logs_unordered());
     }
 }

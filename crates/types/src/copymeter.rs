@@ -1,13 +1,12 @@
-//! Payload-copy accounting for the zero-copy codec path (experiment E13).
+//! Payload-copy accounting for the zero-copy codec path.
 //!
 //! A *payload copy* is a memcpy of an application payload's bytes across a
 //! layer boundary: materializing a decoded wire frame's payload as an owned
-//! buffer, copying a stored record out of the storage backend, flattening a
-//! WAL record group into a contiguous journal write, and so on.  The
-//! zero-copy refactor replaces those copies with reference-counted `Bytes`
-//! views; this module is the meter that proves it, by counting every copy
-//! that still happens (and, in [`CopyMode::Eager`], every copy the
-//! pre-refactor code *used to* perform).
+//! buffer, coalescing a frame that straddles two socket reads, flattening a
+//! payload into a contiguous encoder buffer, and so on.  Payloads otherwise
+//! travel as reference-counted `Bytes` views; this module counts every copy
+//! that still happens.  The repository benchmark reports the count as
+//! `types.payload_copies_per_msg`, and `tests/protocol_costs.rs` bounds it.
 //!
 //! Counters are **thread-local**: a deterministic simulation runs on one
 //! thread, so a measurement window opened around a run observes exactly that
@@ -15,20 +14,7 @@
 
 use std::cell::Cell;
 
-/// Which payload-ownership discipline the codec and storage layers follow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CopyMode {
-    /// Zero-copy: decoded payloads and loaded records are refcounted views
-    /// of the backing buffer.  The default.
-    ZeroCopy,
-    /// Eager: every decoded payload and loaded record is materialized as an
-    /// owned copy — the pre-refactor `Vec<u8>` discipline, kept as the
-    /// measurable baseline for experiment E13.
-    Eager,
-}
-
 thread_local! {
-    static MODE: Cell<CopyMode> = const { Cell::new(CopyMode::ZeroCopy) };
     static COPIES: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
 }
@@ -52,16 +38,6 @@ impl CopySnapshot {
     }
 }
 
-/// The current thread's copy-ownership mode.
-pub fn mode() -> CopyMode {
-    MODE.with(Cell::get)
-}
-
-/// Sets the copy-ownership mode for the current thread.
-pub fn set_mode(mode: CopyMode) {
-    MODE.with(|m| m.set(mode));
-}
-
 /// Records one payload memcpy of `len` bytes.
 pub fn record_copy(len: usize) {
     COPIES.with(|c| c.set(c.get() + 1));
@@ -76,26 +52,10 @@ pub fn snapshot() -> CopySnapshot {
     }
 }
 
-/// Resets the current thread's counters (not the mode).
+/// Resets the current thread's counters.
 pub fn reset() {
     COPIES.with(|c| c.set(0));
     BYTES.with(|b| b.set(0));
-}
-
-/// Hands out `payload` under the current mode: a zero-copy clone of the view
-/// normally, a counted owned copy in [`CopyMode::Eager`].
-///
-/// This is the single choke point storage backends use when returning loaded
-/// records, so the eager baseline faithfully reproduces the pre-refactor
-/// `to_vec()` cost without duplicating the load logic.
-pub fn loan(payload: &bytes::Bytes) -> bytes::Bytes {
-    match mode() {
-        CopyMode::ZeroCopy => payload.clone(),
-        CopyMode::Eager => {
-            record_copy(payload.len());
-            bytes::Bytes::copy_from_slice(payload)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,8 +63,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_mode_are_thread_local() {
-        set_mode(CopyMode::ZeroCopy);
+    fn counters_are_thread_local() {
         reset();
         let before = snapshot();
         record_copy(10);
@@ -117,24 +76,5 @@ mod tests {
         assert_eq!(other.payload_copies, 0, "fresh thread, fresh counters");
         reset();
         assert_eq!(snapshot(), CopySnapshot::default());
-    }
-
-    #[test]
-    fn loan_copies_only_in_eager_mode() {
-        reset();
-        set_mode(CopyMode::ZeroCopy);
-        let b = bytes::Bytes::copy_from_slice(b"payload");
-        let view = loan(&b);
-        assert!(view.shares_allocation_with(&b));
-        assert_eq!(snapshot().payload_copies, 0);
-
-        set_mode(CopyMode::Eager);
-        let owned = loan(&b);
-        assert!(!owned.shares_allocation_with(&b));
-        assert_eq!(owned, b);
-        assert_eq!(snapshot().payload_copies, 1);
-        assert_eq!(snapshot().bytes_copied, 7);
-        set_mode(CopyMode::ZeroCopy);
-        reset();
     }
 }

@@ -13,8 +13,7 @@ pub type Result<T> = std::result::Result<T, AbcastError>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum AbcastError {
-    /// A stable-storage operation failed (e.g. an I/O error of the
-    /// file-backed store).
+    /// A stable-storage operation failed (e.g. an I/O error of the WAL).
     Storage(String),
     /// A stored or received record could not be decoded.
     Corrupt(DecodeError),

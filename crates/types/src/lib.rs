@@ -34,7 +34,7 @@ pub mod time;
 pub mod vector_clock;
 
 pub use codec::{Decode, DecodeError, Decoder, Encode, Encoder};
-pub use copymeter::{CopyMode, CopySnapshot};
+pub use copymeter::CopySnapshot;
 pub use config::{BatchingPolicy, LoggingPolicy, ProtocolConfig, RecoveryPolicy, TimerConfig};
 pub use error::{AbcastError, Result};
 pub use id::{ProcessId, ProcessSet};

@@ -720,7 +720,7 @@ enum OpClass {
     LogRead,
     Remove,
     /// Passed somewhere the classifier cannot see through (e.g. a
-    /// `SetLogger` constructor): exempts the key from lifecycle claims.
+    /// logger's constructor): exempts the key from lifecycle claims.
     Opaque,
 }
 

@@ -1,13 +1,13 @@
 //! Workspace integration tests: crash-recovery behaviour end to end —
 //! replay-based recovery, checkpoint-based recovery, state transfer,
-//! whole-deployment restarts and file-backed storage.
+//! whole-deployment restarts and WAL-backed storage.
 
 use crash_recovery_abcast::core::{Cluster, ClusterConfig};
 use crash_recovery_abcast::storage::{SharedStorage, TypedStorageExt};
 use crash_recovery_abcast::types::BatchingPolicy;
 use crash_recovery_abcast::{
-    ConsensusConfig, FileStorage, KvCommand, KvStore, LinkConfig, ProcessId, ProtocolConfig,
-    Replica, SimConfig, SimDuration, SimTime, Simulation, StorageRegistry,
+    ConsensusConfig, KvCommand, KvStore, LinkConfig, ProcessId, ProtocolConfig, Replica,
+    SimConfig, SimDuration, SimTime, Simulation, StorageRegistry, WalStorage,
 };
 
 fn p(i: u32) -> ProcessId {
@@ -290,19 +290,23 @@ fn repeated_crashes_of_the_same_process_never_violate_safety() {
 
 #[test]
 fn file_backed_storage_round_trips_protocol_records() {
-    // The protocol's storage layout works on the file backend too (the
-    // examples use it); spot-check typed records and recovery reads.
-    let dir = std::env::temp_dir().join(format!("abcast-it-file-{}", std::process::id()));
+    // The protocol's typed records survive a close and reopen of the WAL
+    // backend: the reopened store replays the journal and reads them back.
+    let dir = std::env::temp_dir().join(format!("abcast-it-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("p.wal");
     {
-        let storage = FileStorage::open(&dir).unwrap();
+        let storage = WalStorage::open(&path).unwrap();
         storage
-            .store_value(&crash_recovery_abcast::storage::keys::consensus_proposal(
-                crash_recovery_abcast::Round::new(3),
-            ), &vec![1u64, 2, 3])
+            .store_value(
+                &crash_recovery_abcast::storage::keys::consensus_proposal(
+                    crash_recovery_abcast::Round::new(3),
+                ),
+                &vec![1u64, 2, 3],
+            )
             .unwrap();
     }
-    let storage = FileStorage::open(&dir).unwrap();
+    let storage = WalStorage::open(&path).unwrap();
     let value: Option<Vec<u64>> = storage
         .load_value(&crash_recovery_abcast::storage::keys::consensus_proposal(
             crash_recovery_abcast::Round::new(3),
