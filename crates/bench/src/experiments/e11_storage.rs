@@ -76,7 +76,7 @@ fn open_registry(base: &Path) -> StorageRegistry {
 }
 
 /// Measures both protocol variants and asserts that each pays at least
-/// [`MIN_WRITES_PER_BARRIER`] write ops per barrier.
+/// `MIN_WRITES_PER_BARRIER` write ops per barrier.
 pub fn run_rows(quick: bool) -> Vec<StorageRow> {
     let messages = if quick { 24 } else { 120 };
     let rows = vec![

@@ -21,7 +21,7 @@
 //! The workload is storage-level (no cluster): each message commits one
 //! protocol-step-shaped `WriteBatch` (an agreed delta append, an
 //! unordered-increment append, a round-slot store), and every
-//! [`CHECKPOINT_EVERY`] messages a checkpoint batch overwrites the
+//! `CHECKPOINT_EVERY` messages a checkpoint batch overwrites the
 //! snapshot slot, truncates both logs and calls `note_checkpoint` — the
 //! hook the protocol's checkpoint task uses to nudge compaction.
 //!

@@ -5,34 +5,13 @@ use serde::{Deserialize, Serialize};
 use abcast_fd::FdConfig;
 use abcast_types::SimDuration;
 
-/// Which failure model the consensus substrate is deployed in.
-///
-/// The paper's protocol targets the crash-recovery model, where every
-/// acceptor-side state change must reach stable storage before it takes
-/// effect.  The crash-stop mode exists for the baseline comparison of
-/// experiment E7: when crashes are definitive there is nothing to recover,
-/// so no logging is needed and the protocol degenerates to the classic
-/// crash-stop consensus used by Chandra–Toueg's transformation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FailureModel {
-    /// Processes may crash and recover; all critical state is logged.
-    CrashRecovery,
-    /// Crashes are definitive; no stable-storage logging is performed.
-    CrashStop,
-}
-
-impl FailureModel {
-    /// `true` when acceptor/proposer state must be persisted.
-    pub fn persists(self) -> bool {
-        matches!(self, FailureModel::CrashRecovery)
-    }
-}
-
 /// Tunable parameters of the consensus substrate.
+///
+/// The substrate runs in the paper's crash-recovery model only: every
+/// acceptor-side state change reaches stable storage before it takes
+/// effect.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConsensusConfig {
-    /// Failure model (crash-recovery with logging, or crash-stop without).
-    pub failure_model: FailureModel,
     /// Period of the driver tick: retransmissions, leader checks, decision
     /// queries.
     pub retransmit_period: SimDuration,
@@ -43,7 +22,6 @@ pub struct ConsensusConfig {
 impl Default for ConsensusConfig {
     fn default() -> Self {
         ConsensusConfig {
-            failure_model: FailureModel::CrashRecovery,
             retransmit_period: SimDuration::from_millis(40),
             fd: FdConfig::default(),
         }
@@ -54,57 +32,5 @@ impl ConsensusConfig {
     /// Crash-recovery configuration (the paper's model).
     pub fn crash_recovery() -> Self {
         ConsensusConfig::default()
-    }
-
-    /// Crash-stop configuration (baseline for experiment E7).
-    pub fn crash_stop() -> Self {
-        ConsensusConfig {
-            failure_model: FailureModel::CrashStop,
-            ..ConsensusConfig::default()
-        }
-    }
-
-    /// Returns this configuration with a different retransmission period.
-    pub fn with_retransmit_period(mut self, period: SimDuration) -> Self {
-        self.retransmit_period = period;
-        self
-    }
-
-    /// Returns this configuration with a different failure-detector
-    /// configuration.
-    pub fn with_fd(mut self, fd: FdConfig) -> Self {
-        self.fd = fd;
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn crash_recovery_persists_crash_stop_does_not() {
-        assert!(FailureModel::CrashRecovery.persists());
-        assert!(!FailureModel::CrashStop.persists());
-        assert_eq!(
-            ConsensusConfig::crash_recovery().failure_model,
-            FailureModel::CrashRecovery
-        );
-        assert_eq!(
-            ConsensusConfig::crash_stop().failure_model,
-            FailureModel::CrashStop
-        );
-    }
-
-    #[test]
-    fn builders_apply() {
-        let c = ConsensusConfig::default()
-            .with_retransmit_period(SimDuration::from_millis(7))
-            .with_fd(FdConfig {
-                heartbeat_period: SimDuration::from_millis(3),
-                ..FdConfig::default()
-            });
-        assert_eq!(c.retransmit_period, SimDuration::from_millis(7));
-        assert_eq!(c.fd.heartbeat_period, SimDuration::from_millis(3));
     }
 }

@@ -58,9 +58,8 @@ enum Phase {
 #[derive(Debug)]
 pub struct ConsensusInstance<V> {
     instance: Round,
-    persist: bool,
 
-    // --- state mirrored on stable storage (when `persist` is true) ---
+    // --- state mirrored on stable storage ---
     proposal: Option<V>,          // xanalyze:twin(consensus_proposal)
     promised: Option<Ballot>,     // xanalyze:twin(consensus_promised)
     accepted: Option<(Ballot, V)>, // xanalyze:twin(consensus_accepted)
@@ -77,10 +76,9 @@ pub struct ConsensusInstance<V> {
 
 impl<V: ConsensusValue> ConsensusInstance<V> {
     /// Creates a fresh instance with no persistent state yet.
-    pub fn new(instance: Round, persist: bool) -> Self {
+    pub fn new(instance: Round) -> Self {
         ConsensusInstance {
             instance,
-            persist,
             proposal: None,
             promised: None,
             accepted: None,
@@ -95,8 +93,8 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
     }
 
     /// Rebuilds an instance from stable storage after a crash.
-    pub fn recover(instance: Round, persist: bool, storage: &SharedStorage) -> Result<Self> {
-        let mut me = ConsensusInstance::new(instance, persist);
+    pub fn recover(instance: Round, storage: &SharedStorage) -> Result<Self> {
+        let mut me = ConsensusInstance::new(instance);
         me.proposal = storage.load_value(&keys::consensus_proposal(instance))?;
         me.promised = storage.load_value(&keys::consensus_promised(instance))?;
         me.accepted = storage.load_value(&keys::consensus_accepted(instance))?;
@@ -136,11 +134,9 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
     /// ignores the new one, making the primitive idempotent (property P4).
     pub fn propose(&mut self, value: V, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
         if self.proposal.is_none() {
-            if self.persist {
-                let _ = ctx
-                    .storage()
-                    .store_value(&keys::consensus_proposal(self.instance), &value);
-            }
+            let _ = ctx
+                .storage()
+                .store_value(&keys::consensus_proposal(self.instance), &value);
             self.proposal = Some(value);
         }
         // Eagerly ask whether the instance is already decided: a recovering
@@ -313,9 +309,6 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
     }
 
     fn persist_acceptor(&self, ctx: &mut dyn ActorContext<InstanceMsg<V>>) {
-        if !self.persist {
-            return;
-        }
         // The promise and the accepted value take effect together, so they
         // are committed under a single durability barrier instead of two.
         let mut batch = WriteBatch::new();
@@ -345,11 +338,9 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
             );
             return None;
         }
-        if self.persist {
-            let _ = ctx
-                .storage()
-                .store_value(&keys::consensus_decided(self.instance), &value);
-        }
+        let _ = ctx
+            .storage()
+            .store_value(&keys::consensus_decided(self.instance), &value);
         self.decision = Some(value.clone());
         self.phase = Phase::Idle;
         // Announce the decision once; peers that miss it will Query.
@@ -381,7 +372,7 @@ mod tests {
     #[test]
     fn propose_logs_once_and_is_idempotent() {
         let mut ctx = ctx_for(0, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(42, &mut ctx);
         inst.propose(99, &mut ctx); // ignored: already proposed
         assert_eq!(inst.proposal(), Some(&42));
@@ -398,7 +389,7 @@ mod tests {
     #[test]
     fn recovery_restores_proposal_promise_accept_and_decision() {
         let mut ctx = ctx_for(0, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(7, &mut ctx);
         inst.on_message(ProcessId::new(1), InstanceMsg::Prepare { ballot: b(1, 1) }, &mut ctx);
         inst.on_message(
@@ -409,7 +400,7 @@ mod tests {
         inst.on_message(ProcessId::new(1), InstanceMsg::Decided { value: 7 }, &mut ctx);
 
         let recovered: ConsensusInstance<u64> =
-            ConsensusInstance::recover(k(), true, &ctx.storage_handle()).unwrap();
+            ConsensusInstance::recover(k(), &ctx.storage_handle()).unwrap();
         assert_eq!(recovered.proposal(), Some(&7));
         assert_eq!(recovered.decision(), Some(&7));
         assert!(recovered.is_decided());
@@ -418,7 +409,7 @@ mod tests {
     #[test]
     fn acceptor_promises_and_reports_previous_accept() {
         let mut ctx = ctx_for(2, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
 
         // First ballot: promise with no prior accept.
         inst.on_message(ProcessId::new(0), InstanceMsg::Prepare { ballot: b(3, 0) }, &mut ctx);
@@ -446,7 +437,7 @@ mod tests {
     #[test]
     fn accepting_persists_promise_and_value_under_one_barrier() {
         let mut ctx = ctx_for(2, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         let before = ctx.storage().metrics().snapshot();
         inst.on_message(
             ProcessId::new(0),
@@ -461,7 +452,7 @@ mod tests {
     #[test]
     fn acceptor_rejects_stale_ballots_with_nack() {
         let mut ctx = ctx_for(2, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.on_message(ProcessId::new(1), InstanceMsg::Prepare { ballot: b(5, 1) }, &mut ctx);
         ctx.clear_effects();
 
@@ -488,7 +479,7 @@ mod tests {
         let n = 3;
         let me = ProcessId::new(0);
         let mut ctx = ctx_for(0, n);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(5, &mut ctx);
         ctx.clear_effects();
 
@@ -529,7 +520,7 @@ mod tests {
     fn leader_adopts_the_highest_previously_accepted_value() {
         let n = 5;
         let mut ctx = ctx_for(0, n);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(100, &mut ctx);
         inst.tick(true, &mut ctx);
         let ballot = match ctx.multisent.last() {
@@ -560,7 +551,7 @@ mod tests {
     #[test]
     fn nack_makes_the_leader_retry_with_a_higher_ballot() {
         let mut ctx = ctx_for(0, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(1, &mut ctx);
         inst.tick(true, &mut ctx);
         let first_ballot = match ctx.multisent.last() {
@@ -585,7 +576,7 @@ mod tests {
     #[test]
     fn decision_is_answered_to_queries_and_never_changes() {
         let mut ctx = ctx_for(1, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         let learned =
             inst.on_message(ProcessId::new(0), InstanceMsg::Decided { value: 8 }, &mut ctx);
         assert_eq!(learned, Some(8));
@@ -605,7 +596,7 @@ mod tests {
     #[test]
     fn non_leader_queries_instead_of_driving() {
         let mut ctx = ctx_for(2, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(4, &mut ctx);
         ctx.clear_effects();
         inst.tick(false, &mut ctx);
@@ -619,21 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_stop_mode_never_touches_storage() {
-        let mut ctx = ctx_for(0, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), false);
-        inst.propose(3, &mut ctx);
-        inst.on_message(ProcessId::new(1), InstanceMsg::Prepare { ballot: b(1, 1) }, &mut ctx);
-        inst.on_message(
-            ProcessId::new(1),
-            InstanceMsg::AcceptRequest { ballot: b(1, 1), value: 3 },
-            &mut ctx,
-        );
-        inst.on_message(ProcessId::new(1), InstanceMsg::Decided { value: 3 }, &mut ctx);
-        assert_eq!(ctx.storage().metrics().write_ops(), 0);
-    }
-
-    #[test]
     fn issued_ballot_survives_recovery_and_is_never_reissued() {
         // Fuzz regression (sim_fuzz seed 88 family): a coordinator that
         // crashed between multisending `Prepare` and receiving its own
@@ -643,7 +619,7 @@ mod tests {
         // value's majority.  The synchronous self-promise at issuance is
         // the durable watermark; recovery must start strictly above it.
         let mut ctx = ctx_for(0, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(1, &mut ctx);
         inst.tick(true, &mut ctx);
         let first = match ctx.multisent.last() {
@@ -654,7 +630,7 @@ mod tests {
         // Crash now: no copy of the Prepare was ever delivered back, so
         // the persisted self-promise is the only trace of the ballot.
         let mut recovered: ConsensusInstance<u64> =
-            ConsensusInstance::recover(k(), true, &ctx.storage_handle()).unwrap();
+            ConsensusInstance::recover(k(), &ctx.storage_handle()).unwrap();
         assert_eq!(recovered.proposal(), Some(&1));
         ctx.clear_effects();
         recovered.tick(true, &mut ctx);
@@ -671,7 +647,7 @@ mod tests {
     #[test]
     fn ticks_retransmit_the_current_phase() {
         let mut ctx = ctx_for(0, 3);
-        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k(), true);
+        let mut inst: ConsensusInstance<u64> = ConsensusInstance::new(k());
         inst.propose(2, &mut ctx);
         inst.tick(true, &mut ctx);
         ctx.advance(SimDuration::from_millis(40));

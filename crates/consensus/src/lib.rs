@@ -11,9 +11,9 @@
 //! * [`MultiConsensus`] — the numbered family of instances behind the
 //!   paper's `propose`/`decided` interface, together with the heartbeat/Ω
 //!   failure detector that drives ballots (Section 3.5);
-//! * [`ConsensusConfig`] — crash-recovery mode (with logging) or crash-stop
-//!   mode (no logging), the latter serving as the Chandra–Toueg-style
-//!   baseline of experiment E7.
+//! * [`ConsensusConfig`] — the retransmission tick and the detector's timeouts.
+//!   There is one failure model, the paper's: every acceptor-side state
+//!   change is logged before it takes effect.
 //!
 //! Consensus termination requires, as in the paper's references, that a
 //! majority of processes are *good* and that the failure detector
@@ -28,7 +28,7 @@ pub mod instance;
 pub mod message;
 pub mod multi;
 
-pub use config::{ConsensusConfig, FailureModel};
+pub use config::ConsensusConfig;
 pub use instance::{ConsensusInstance, ConsensusValue};
 pub use message::{ConsensusMsg, InstanceMsg};
 pub use multi::{DecisionEvent, MultiConsensus, CONSENSUS_TICK, CONSENSUS_TIMER_SPAN};

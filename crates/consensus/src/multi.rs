@@ -23,7 +23,7 @@ use abcast_net::{ActorContext, MappedContext, TimerId};
 use abcast_storage::{keys, SharedStorage, TypedStorageExt};
 use abcast_types::{ProcessId, Result, Round};
 
-use crate::config::{ConsensusConfig, FailureModel};
+use crate::config::ConsensusConfig;
 use crate::instance::{ConsensusInstance, ConsensusValue};
 use crate::message::ConsensusMsg;
 
@@ -72,10 +72,6 @@ impl<V: ConsensusValue> MultiConsensus<V> {
         }
     }
 
-    fn persist(&self) -> bool {
-        self.config.failure_model == FailureModel::CrashRecovery
-    }
-
     /// Starts the module, or restarts it after a recovery: reloads every
     /// instance found on stable storage, starts the failure detector and
     /// arms the driver timer.
@@ -84,33 +80,32 @@ impl<V: ConsensusValue> MultiConsensus<V> {
     /// treated as "nothing stored": acting without the logged promises and
     /// accepted values would let this acceptor contradict its pre-crash
     /// self and break agreement.  The caller must fail-stop the process
-    /// (crash-the-process semantics) and retry recovery later.
+    /// (crash-the-process semantics) and retry recovery later.  A failed
+    /// read of the detector's epoch fails the start the same way.
     pub fn on_start(&mut self, ctx: &mut dyn ActorContext<ConsensusMsg<V>>) -> Result<()> {
-        if self.persist() {
-            for key in ctx.storage().keys()? {
-                if let Some(instance) = keys::parse_consensus_instance(&key) {
-                    if let std::collections::btree_map::Entry::Vacant(e) = self.instances.entry(instance) {
-                        e.insert(ConsensusInstance::recover(instance, true, ctx.storage())?);
-                    }
+        for key in ctx.storage().keys()? {
+            if let Some(instance) = keys::parse_consensus_instance(&key) {
+                if let std::collections::btree_map::Entry::Vacant(e) = self.instances.entry(instance) {
+                    e.insert(ConsensusInstance::recover(instance, ctx.storage())?);
                 }
             }
-            // Restore the forget watermark.  The caller re-derives a floor
-            // from its recovered round, but that round comes from the last
-            // *logged* checkpoint and lags the pre-crash one — a re-derived
-            // floor can regress below rounds whose acceptor records were
-            // already discarded, letting a lagging peer re-run consensus
-            // for a settled round against this now-amnesiac acceptor.
-            // Once records are gone, participation must stay closed.
-            if let Some(floor) = ctx.storage().load_value::<Round>(&keys::consensus_floor())? {
-                if floor > self.forget_floor {
-                    self.forget_floor = floor;
-                    self.instances.retain(|k, _| *k >= floor);
-                }
+        }
+        // Restore the forget watermark.  The caller re-derives a floor from
+        // its recovered round, but that round comes from the last *logged*
+        // checkpoint and lags the pre-crash one — a re-derived floor can
+        // regress below rounds whose acceptor records were already
+        // discarded, letting a lagging peer re-run consensus for a settled
+        // round against this now-amnesiac acceptor.  Once records are gone,
+        // participation must stay closed.
+        if let Some(floor) = ctx.storage().load_value::<Round>(&keys::consensus_floor())? {
+            if floor > self.forget_floor {
+                self.forget_floor = floor;
+                self.instances.retain(|k, _| *k >= floor);
             }
         }
         {
             let mut fd_ctx = MappedContext::new(ctx, ConsensusMsg::Fd, 0);
-            self.fd.on_start(&mut fd_ctx);
+            self.fd.on_start(&mut fd_ctx)?;
         }
         ctx.set_timer(CONSENSUS_TICK, self.config.retransmit_period);
         Ok(())
@@ -137,13 +132,12 @@ impl<V: ConsensusValue> MultiConsensus<V> {
         if k < self.forget_floor && !self.instances.contains_key(&k) {
             return;
         }
-        let persist = self.persist();
         let me = ctx.me();
         let is_leader = self.fd.leader(me) == me;
         let instance = self
             .instances
             .entry(k)
-            .or_insert_with(|| ConsensusInstance::new(k, persist));
+            .or_insert_with(|| ConsensusInstance::new(k));
         let mut inst_ctx = MappedContext::new(
             ctx,
             move |msg| ConsensusMsg::Instance { instance: k, msg },
@@ -208,11 +202,6 @@ impl<V: ConsensusValue> MultiConsensus<V> {
         self.fd.leader(me)
     }
 
-    /// Read-only access to the embedded failure detector.
-    pub fn failure_detector(&self) -> &HeartbeatFd {
-        &self.fd
-    }
-
     /// Drops the bookkeeping of every *decided* instance strictly below
     /// `before`, keeping only its decision out of reach of the protocol.
     ///
@@ -230,9 +219,7 @@ impl<V: ConsensusValue> MultiConsensus<V> {
             .retain(|k, i| *k >= before || !i.is_decided());
         if before > self.forget_floor {
             self.forget_floor = before;
-            if self.persist() {
-                let _ = storage.store_value(&keys::consensus_floor(), &before);
-            }
+            let _ = storage.store_value(&keys::consensus_floor(), &before);
         }
     }
 
@@ -289,11 +276,10 @@ impl<V: ConsensusValue> MultiConsensus<V> {
                 if k < self.forget_floor && !self.instances.contains_key(&k) {
                     return Vec::new();
                 }
-                let persist = self.persist();
                 let instance = self
                     .instances
                     .entry(k)
-                    .or_insert_with(|| ConsensusInstance::new(k, persist));
+                    .or_insert_with(|| ConsensusInstance::new(k));
                 let mut inst_ctx = MappedContext::new(
                     ctx,
                     move |msg| ConsensusMsg::Instance { instance: k, msg },
@@ -549,27 +535,6 @@ mod tests {
             .get(&Round::new(0))
             .unwrap();
         assert_eq!(after, decided_value, "decision changed across recovery");
-    }
-
-    #[test]
-    fn crash_stop_mode_decides_without_logging() {
-        let mut sim = Simulation::new(SimConfig::lan(3).with_seed(2), |p, _s: SharedStorage| {
-            ConsensusActor::new(p, 1, ConsensusConfig::crash_stop())
-        });
-        sim.run_until(SimTime::from_micros(5_000_000), |sim| {
-            sim.processes()
-                .iter()
-                .all(|p| sim.actor(p).map(|a| !a.decided.is_empty()).unwrap_or(false))
-        });
-        for p in sim.processes().iter() {
-            assert!(!sim.actor(p).unwrap().decided.is_empty());
-            // Only the failure detector's epoch record was written.
-            let writes = sim.storage_for(p).metrics().write_ops();
-            assert!(
-                writes <= 1,
-                "{p} performed {writes} stable-storage writes in crash-stop mode"
-            );
-        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! 1. **Fault phase** — the cluster executes the plan's crash/recovery
 //!    schedule, partitions, link bursts, deployment restarts and storage
 //!    faults while a seeded workload keeps broadcasting.  Processes that
-//!    fail-stop on a storage fault ([`AtomicBroadcast::is_halted`]) are
+//!    fail-stop on a storage fault
+//!    ([`crate::protocol::AtomicBroadcast::is_halted`]) are
 //!    crashed and later recovered, exactly as the paper's model prescribes.
 //!    Safety (Validity, Integrity, Total Order) is checked continuously;
 //!    Termination is *not*, because partitions and crash churn legitimately

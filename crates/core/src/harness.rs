@@ -29,9 +29,9 @@ pub struct ClusterConfig {
     pub seed: u64,
     /// Link behaviour.
     pub link: LinkConfig,
-    /// Atomic broadcast configuration (basic / alternative / naive).
+    /// Atomic broadcast configuration (basic or alternative protocol).
     pub protocol: ProtocolConfig,
-    /// Consensus configuration (crash-recovery / crash-stop).
+    /// Consensus configuration (retransmission tick and failure detector).
     pub consensus: ConsensusConfig,
 }
 
@@ -121,9 +121,8 @@ impl Cluster {
     }
 
     /// Builds and starts the cluster over an existing storage registry —
-    /// e.g. file- or WAL-backed storages (experiment E11), or storages
-    /// carried over from a previous deployment to exercise whole-cluster
-    /// recovery.
+    /// e.g. WAL-backed storages, or storages carried over from a previous
+    /// deployment to exercise whole-cluster recovery.
     pub fn with_registry(config: ClusterConfig, storage: StorageRegistry) -> Self {
         let factory = config.framed_factory();
         let sim = Simulation::with_storage(

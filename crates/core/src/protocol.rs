@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use abcast_consensus::{ConsensusConfig, MultiConsensus, CONSENSUS_TIMER_SPAN};
 use abcast_net::{run_step_checked, Actor, ActorContext, MappedContext, TimerId};
 use abcast_storage::{
-    keys, IncrementalSetLogger, SnapshotDeltaPolicy, StorageKey, TypedStorageExt, WriteBatch,
+    keys, IncrementalSetLogger, SnapshotDeltaPolicy, TypedStorageExt, WriteBatch,
 };
 use abcast_types::codec::{from_payload, to_payload, Encode};
 use abcast_types::{
@@ -297,11 +297,12 @@ impl AtomicBroadcast {
     /// `A-broadcast(m)`: submits `payload` for totally ordered delivery and
     /// returns the identity assigned to it.
     ///
-    /// Under [`BatchingPolicy::WaitForAgreed`] (the basic protocol) the
-    /// invocation is logically complete only once the message appears in
-    /// the `Agreed` queue; under [`BatchingPolicy::EarlyReturn`] the
-    /// `Unordered` set is logged before this method returns, which is what
-    /// allows the early completion (Section 5.4).
+    /// Under [`abcast_types::BatchingPolicy::WaitForAgreed`] (the basic
+    /// protocol) the invocation is logically complete only once the message
+    /// appears in the `Agreed` queue; under
+    /// [`abcast_types::BatchingPolicy::EarlyReturn`] the `Unordered` set is
+    /// logged before this method returns, which is what allows the early
+    /// completion (Section 5.4).
     pub fn a_broadcast(
         &mut self,
         payload: impl Into<Payload>,
@@ -452,8 +453,7 @@ impl AtomicBroadcast {
                 );
             self.next_seq = self.next_seq.max(recovered_max);
         } else {
-            let key = StorageKey::new("abcast/broadcast-epoch");
-            let epoch: u64 = match ctx.storage().load_value(&key) {
+            let epoch: u64 = match ctx.storage().load_value(&keys::broadcast_epoch()) {
                 Ok(stored) => stored.unwrap_or(0) + 1,
                 Err(e) => {
                     // Guessing an epoch after a failed read risks reusing
@@ -464,7 +464,7 @@ impl AtomicBroadcast {
                 }
             };
             // Staged write: its durability is settled by the step commit.
-            let _ = ctx.storage().store_value(&key, &epoch);
+            let _ = ctx.storage().store_value(&keys::broadcast_epoch(), &epoch);
             self.next_seq = self.next_seq.max(epoch << 32);
         }
         self.epoch_established = true;

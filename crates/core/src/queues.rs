@@ -60,13 +60,6 @@ impl UnorderedSet {
         self.messages.retain(|id, _| !agreed.contains(*id));
     }
 
-    /// Removes the listed identities.
-    pub fn remove_ids<'a>(&mut self, ids: impl IntoIterator<Item = &'a MsgId>) {
-        for id in ids {
-            self.messages.remove(id);
-        }
-    }
-
     /// `true` if the message with identity `id` is in the set.
     pub fn contains(&self, id: MsgId) -> bool {
         self.messages.contains_key(&id)

@@ -29,7 +29,6 @@ use abcast_storage::{SharedStorage, StorageRegistry};
 use abcast_types::{AppMessage, MsgId, ProcessId, ProcessSet};
 
 use crate::harness::{ClusterConfig, FramedAbcast};
-use crate::protocol::ProtocolMetrics;
 use crate::queues::AgreedQueue;
 
 /// A live deployment of [`crate::protocol::AtomicBroadcast`] processes
@@ -47,15 +46,16 @@ impl TcpCluster {
     }
 
     /// Builds and starts the cluster over an existing storage registry
-    /// (file- or WAL-backed storages, or storages carried over from a
-    /// previous deployment).
+    /// (WAL-backed storages, or storages carried over from a previous
+    /// deployment).
     pub fn with_registry(config: ClusterConfig, storage: StorageRegistry) -> io::Result<Self> {
         let tcp = TcpConfig::default().with_seed(config.seed);
         TcpCluster::with_registry_and_tcp(config, storage, tcp)
     }
 
     /// Builds and starts the cluster with explicit socket-transport
-    /// settings (reconnect backoff, frame bound, nodelay).
+    /// settings (frame bound, write-queue bound, link policy, backoff-reset
+    /// grace).
     pub fn with_registry_and_tcp(
         config: ClusterConfig,
         storage: StorageRegistry,
@@ -125,11 +125,9 @@ impl TcpCluster {
     /// identity in `ids`, or until `timeout` elapses.  Returns `true` on
     /// success.
     ///
-    /// Parks on the runtime's [`abcast_net::Activity`] signal between
-    /// probes instead of sleep-polling: a process is re-inspected only
-    /// after some worker made protocol progress, so the wait costs no CPU
-    /// while the cluster is quiescent and reacts immediately when a
-    /// delivery lands.
+    /// Each process is waited for with [`TcpRuntime::wait_for`], which
+    /// parks on the runtime's [`abcast_net::Activity`] signal between
+    /// probes instead of sleep-polling.
     pub fn run_until_delivered(
         &self,
         who: &[ProcessId],
@@ -137,30 +135,13 @@ impl TcpCluster {
         timeout: Duration,
     ) -> bool {
         let deadline = Instant::now() + timeout; // xlint:allow(D1) — wall-clock deadline against real worker threads
-        let activity = self.runtime.activity();
-        'processes: for &p in who {
-            loop {
-                // Epoch before the probe: progress landing between the
-                // inspect and the wait wakes the wait immediately.
-                let seen = activity.epoch();
-                let ids = ids.to_vec(); // xlint:allow(Z1) — a handful of Copy ids moved into the inspect closure, not payload bytes
-                let done = self
-                    .runtime
-                    .inspect(p, move |a| ids.iter().all(|id| a.is_delivered(*id)))
-                    .unwrap_or(false);
-                if done {
-                    continue 'processes;
-                }
-                let left = deadline.saturating_duration_since(Instant::now()); // xlint:allow(D1) — wall-clock deadline against real worker threads
-                if left.is_zero() {
-                    return false;
-                }
-                // Capped wait as a liveness backstop (a down process makes
-                // no progress but can still be recovered externally).
-                activity.wait_past(seen, left.min(Duration::from_millis(50)));
-            }
-        }
-        true
+        who.iter().all(|&p| {
+            let ids = ids.to_vec(); // xlint:allow(Z1) — a handful of Copy ids moved into the probe, not payload bytes
+            let left = deadline.saturating_duration_since(Instant::now()); // xlint:allow(D1) — wall-clock deadline against real worker threads
+            self.runtime
+                .wait_for(p, left, move |a| ids.iter().all(|id| a.is_delivered(*id)).then_some(()))
+                .is_some()
+        })
     }
 
     /// Blocks until every process has delivered all identities ever
@@ -186,11 +167,6 @@ impl TcpCluster {
         self.runtime
             .inspect(p, |a| a.delivered_messages().to_vec()) // xlint:allow(Z1) — inspection hands out owned copies; payload Bytes inside stay refcounted
             .unwrap_or_default()
-    }
-
-    /// A clone of the protocol metrics of `p` (`None` while down).
-    pub fn protocol_metrics(&self, p: ProcessId) -> Option<ProtocolMetrics> {
-        self.runtime.inspect(p, |a| a.metrics().clone())
     }
 
     /// Every identity `p` has A-delivered, in delivery order — the full

@@ -30,7 +30,7 @@ use std::collections::BTreeSet;
 use serde::{Deserialize, Serialize};
 
 use abcast_net::{ActorContext, TimerId};
-use abcast_storage::{StorageKey, TypedStorageExt};
+use abcast_storage::{keys, TypedStorageExt};
 use abcast_types::codec::{Decode, DecodeError, Decoder, Encode, Encoder};
 use abcast_types::{ProcessId, SimDuration, SimTime};
 
@@ -118,11 +118,6 @@ pub struct HeartbeatFd {
 }
 
 impl HeartbeatFd {
-    /// Storage key under which the local epoch counter persists.
-    fn epoch_key() -> StorageKey {
-        StorageKey::new("fd/epoch")
-    }
-
     /// Creates a detector with the given configuration.  Call
     /// [`HeartbeatFd::on_start`] before anything else.
     pub fn new(config: FdConfig) -> Self {
@@ -143,17 +138,15 @@ impl HeartbeatFd {
     /// Starts (or restarts after a recovery) the detector: bumps and
     /// persists the local epoch, trusts everyone, arms the tick timer and
     /// sends a first heartbeat immediately.
-    pub fn on_start(&mut self, ctx: &mut dyn ActorContext<FdMessage>) {
-        let stored: u64 = ctx
-            .storage()
-            .load_value(&Self::epoch_key())
-            .ok()
-            .flatten()
-            .unwrap_or(0);
+    ///
+    /// A failed read of the stored epoch is returned, not read as "no
+    /// epoch": restarting from 1 would overwrite the real counter and let
+    /// peers mistake this incarnation for an old one.  Nothing is written
+    /// or sent before the read succeeds.
+    pub fn on_start(&mut self, ctx: &mut dyn ActorContext<FdMessage>) -> abcast_types::Result<()> {
+        let stored: u64 = ctx.storage().load_value(&keys::fd_epoch())?.unwrap_or(0);
         self.my_epoch = stored + 1;
-        let _ = ctx
-            .storage()
-            .store_value(&Self::epoch_key(), &self.my_epoch);
+        let _ = ctx.storage().store_value(&keys::fd_epoch(), &self.my_epoch);
 
         let now = ctx.now();
         let me = ctx.me();
@@ -174,6 +167,7 @@ impl HeartbeatFd {
             epoch: self.my_epoch,
         });
         ctx.set_timer(FD_TICK, self.config.heartbeat_period);
+        Ok(())
     }
 
     /// Handles a detector message.
@@ -284,9 +278,12 @@ impl HeartbeatFd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use abcast_net::testkit::ScriptedContext;
     use abcast_net::Actor;
     use abcast_sim::{SimConfig, Simulation};
-    use abcast_storage::SharedStorage;
+    use abcast_storage::{FaultSchedule, FaultyStorage, InMemoryStorage, SharedStorage};
     use abcast_types::ProcessId;
 
     /// Wraps the detector in a bare actor so it can run under the
@@ -298,7 +295,7 @@ mod tests {
     impl Actor for FdActor {
         type Msg = FdMessage;
         fn on_start(&mut self, ctx: &mut dyn ActorContext<FdMessage>) {
-            self.fd.on_start(ctx);
+            self.fd.on_start(ctx).expect("epoch read failed");
         }
         fn on_message(&mut self, from: ProcessId, msg: FdMessage, ctx: &mut dyn ActorContext<FdMessage>) {
             self.fd.on_message(from, msg, ctx);
@@ -410,5 +407,27 @@ mod tests {
             sim.actor(p(3)).unwrap().fd.leader(p(3))
         };
         assert_eq!(fd, p(2));
+    }
+
+    #[test]
+    fn a_failed_epoch_read_fails_the_start_and_keeps_the_stored_epoch() {
+        let disk: SharedStorage = Arc::new(InMemoryStorage::new());
+        disk.store_value(&keys::fd_epoch(), &5u64).unwrap();
+        // Read op 0 is the epoch load.
+        let faulty: SharedStorage =
+            Arc::new(FaultyStorage::new(disk.clone(), FaultSchedule::new().read_fault(0)));
+        let mut ctx: ScriptedContext<FdMessage> =
+            ScriptedContext::new(p(0), 3).with_storage(faulty);
+        let mut fd = HeartbeatFd::new(FdConfig::default());
+
+        assert!(fd.on_start(&mut ctx).is_err(), "the read error must fail the start");
+        assert!(!fd.is_started());
+        assert!(ctx.multisent.is_empty(), "no heartbeat before the epoch is known");
+        let stored: Option<u64> = disk.load_value(&keys::fd_epoch()).unwrap();
+        assert_eq!(stored, Some(5), "the stored epoch must not regress");
+
+        // The retried start reads the real epoch and moves past it.
+        fd.on_start(&mut ctx).unwrap();
+        assert_eq!(fd.my_epoch(), 6);
     }
 }

@@ -1,25 +1,16 @@
-//! Failure detectors for the asynchronous crash-recovery model.
+//! The failure detector of the asynchronous crash-recovery model.
 //!
 //! The atomic broadcast transformation of the paper never consults a failure
 //! detector — but the Consensus black box it builds on does need one
-//! (Section 3.5).  This crate provides both detector families the paper
-//! mentions:
-//!
-//! * [`HeartbeatFd`] — unbounded output: heartbeats carrying persistent
-//!   epoch counters in the style of Aguilera, Chen and Toueg (*Failure
-//!   Detection and Consensus in the Crash-Recovery Model*, DISC 1998),
-//!   including the Ω (eventual leader) output the consensus substrate uses
-//!   to decide who drives ballots;
-//! * [`SuspectListFd`] — bounded output: a plain list of suspects in the
-//!   style of Hurfin–Mostéfaoui–Raynal and Oliveira–Guerraoui–Schiper.
+//! (Section 3.5).  [`HeartbeatFd`] is that detector: heartbeats carrying
+//! persistent epoch counters in the style of Aguilera, Chen and Toueg
+//! (*Failure Detection and Consensus in the Crash-Recovery Model*, DISC
+//! 1998), including the Ω (eventual leader) output the consensus substrate
+//! uses to decide who drives ballots.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod heartbeat;
-pub mod suspect_list;
 
 pub use heartbeat::{FdConfig, FdMessage, HeartbeatFd, FD_TICK, FD_TIMER_SPAN};
-pub use suspect_list::{
-    Alive, SuspectListConfig, SuspectListFd, SUSPECT_TICK, SUSPECT_TIMER_SPAN,
-};

@@ -123,26 +123,6 @@ pub trait Actor: Send + 'static {
     }
 }
 
-/// Builds the actor of a given process, both at initialization and at every
-/// recovery.
-///
-/// The runtime owns one factory per deployment; the factory must produce an
-/// actor whose volatile state is *freshly initialized* — recovering state
-/// from stable storage is the job of [`Actor::on_start`].
-pub trait ActorFactory<A: Actor>: Send {
-    /// Creates the actor for process `id` with its crash-surviving storage.
-    fn build(&self, id: ProcessId, storage: SharedStorage) -> A;
-}
-
-impl<A: Actor, F> ActorFactory<A> for F
-where
-    F: Fn(ProcessId, SharedStorage) -> A + Send,
-{
-    fn build(&self, id: ProcessId, storage: SharedStorage) -> A {
-        self(id, storage)
-    }
-}
-
 /// Adapts an `ActorContext<Outer>` into an `ActorContext<Inner>` for a
 /// nested protocol component.
 ///
@@ -173,17 +153,6 @@ where
             wrap,
             timer_base,
             _inner: std::marker::PhantomData,
-        }
-    }
-
-    /// Translates an outer timer identity back into the inner component's
-    /// space, if it belongs to it.
-    pub fn unmap_timer(timer: TimerId, timer_base: u64, span: u64) -> Option<TimerId> {
-        let raw = timer.raw();
-        if raw >= timer_base && raw < timer_base + span {
-            Some(TimerId(raw - timer_base))
-        } else {
-            None
         }
     }
 }
@@ -301,23 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn unmap_timer_inverts_offset_within_span() {
-        let outer = TimerId::new(105);
-        assert_eq!(
-            MappedContext::<String, u32, fn(u32) -> String>::unmap_timer(outer, 100, 10),
-            Some(TimerId::new(5))
-        );
-        assert_eq!(
-            MappedContext::<String, u32, fn(u32) -> String>::unmap_timer(outer, 100, 5),
-            None
-        );
-        assert_eq!(
-            MappedContext::<String, u32, fn(u32) -> String>::unmap_timer(TimerId::new(99), 100, 10),
-            None
-        );
-    }
-
-    #[test]
     fn mapped_context_wraps_messages_and_offsets_timers() {
         let mut outer = RecordingContext::new();
         {
@@ -348,19 +300,5 @@ mod tests {
             outer.storage.load(&StorageKey::new("k")).unwrap().unwrap(),
             b"v"
         );
-    }
-
-    #[test]
-    fn closures_are_actor_factories() {
-        struct Nop;
-        impl Actor for Nop {
-            type Msg = ();
-            fn on_start(&mut self, _ctx: &mut dyn ActorContext<()>) {}
-            fn on_message(&mut self, _f: ProcessId, _m: (), _ctx: &mut dyn ActorContext<()>) {}
-            fn on_timer(&mut self, _t: TimerId, _ctx: &mut dyn ActorContext<()>) {}
-        }
-        let factory = |_id: ProcessId, _storage: SharedStorage| Nop;
-        let storage: SharedStorage = Arc::new(InMemoryStorage::new());
-        let _actor = factory.build(ProcessId::new(1), storage);
     }
 }

@@ -6,7 +6,7 @@
 //! `store`/`append` calls across protocol layers.  [`StepContext`] wraps an
 //! [`ActorContext`] so that, for the duration of one scope,
 //!
-//! * every storage write is staged into one [`WriteBatch`]
+//! * every storage write is staged into one [`abcast_storage::WriteBatch`]
 //!   (via [`abcast_storage::StagedStorage`], reads see the staged state);
 //! * every outgoing message is buffered;
 //!

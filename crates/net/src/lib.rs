@@ -22,16 +22,17 @@
 //! * [`FrameReassembler`] / [`wire_chunks`] — stream framing: length
 //!   prefixes for vectored writes, zero-copy reassembly of frames out of
 //!   arbitrarily fragmented reads;
-//! * [`TcpRuntime`] / [`TcpConfig`] / [`PeerConn`] — the live runtime over
-//!   real sockets: group-committing worker threads plus one epoll-backed
-//!   poller thread owning every reconnecting TCP connection, with stream
+//! * [`TcpRuntime`] / [`TcpConfig`] — the live runtime over real sockets:
+//!   group-committing worker threads plus one epoll-backed poller thread
+//!   owning every reconnecting TCP connection, with stream
 //!   faults mapped back onto the fair-lossy model and [`LinkPolicy`] for
 //!   per-pair outbound delay shaping;
 //! * [`poll`] — the minimal readiness layer under it: raw
 //!   `epoll`/`eventfd` bindings, nonblocking connect, and a timer wheel;
 //! * [`LinkConfig`] / [`LinkModel`] — the fair-lossy link model (loss,
 //!   duplication, arbitrary delay, partitions);
-//! * [`NetworkMetrics`] — transport counters used by the experiments.
+//! * [`NetworkMetrics`] / [`TcpMetrics`] — the simulator's message counters
+//!   and the socket runtime's connection and frame counters.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +46,7 @@ pub mod poll;
 pub mod tcp;
 pub mod testkit;
 
-pub use actor::{Actor, ActorContext, ActorFactory, MappedContext, TimerId};
+pub use actor::{Actor, ActorContext, MappedContext, TimerId};
 pub use batch::{run_step, run_step_checked, StepContext};
 pub use frame::{
     decode_frame, encode_frame, wire_chunks, FrameReassembler, FrameStreamError, FramedActor,
@@ -53,4 +54,4 @@ pub use frame::{
 };
 pub use link::{LinkConfig, LinkModel, PlannedDelivery};
 pub use metrics::{NetworkMetrics, NetworkSnapshot, TcpMetrics, TcpSnapshot};
-pub use tcp::{Activity, LinkPolicy, PeerConn, TcpConfig, TcpRuntime};
+pub use tcp::{Activity, LinkPolicy, TcpConfig, TcpRuntime};

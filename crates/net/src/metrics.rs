@@ -1,8 +1,9 @@
 //! Transport-level metrics.
 //!
-//! Experiments E3/E4/E6 report message counts alongside latency, so both
-//! runtimes count transmissions, deliveries, losses and duplications in a
-//! shared [`NetworkMetrics`] handle.
+//! [`NetworkMetrics`] counts what the simulator's fair-lossy link does with
+//! each message (transmissions, deliveries, losses, duplications);
+//! [`TcpMetrics`] counts what the socket runtime's connections do with each
+//! frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,18 +98,13 @@ impl NetworkMetrics {
         }
     }
 
-    /// Total transmissions requested so far.
-    pub fn sent(&self) -> u64 {
-        self.inner.sent.load(Ordering::Relaxed)
-    }
-
     /// Total deliveries so far.
     pub fn delivered(&self) -> u64 {
         self.inner.delivered.load(Ordering::Relaxed)
     }
 }
 
-/// Socket-transport counters shared by every connection thread of a
+/// Socket-transport counters shared by the poller and worker threads of a
 /// [`crate::tcp::TcpRuntime`] deployment; clones share the same counters.
 ///
 /// The TCP transport maps stream failures onto the paper's fair-lossy
@@ -239,21 +235,6 @@ impl TcpMetrics {
         self.inner.stream_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total frames lost to the fair-lossy stream so far.
-    pub fn frames_dropped(&self) -> u64 {
-        self.inner.frames_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Total frames fully written so far.
-    pub fn frames_sent(&self) -> u64 {
-        self.inner.frames_sent.load(Ordering::Relaxed)
-    }
-
-    /// Total frames reassembled so far.
-    pub fn frames_received(&self) -> u64 {
-        self.inner.frames_received.load(Ordering::Relaxed)
-    }
-
     /// Takes a point-in-time copy of the counters.
     pub fn snapshot(&self) -> TcpSnapshot {
         TcpSnapshot {
@@ -299,9 +280,6 @@ mod tests {
         assert_eq!(s.frames_dropped, 1);
         assert_eq!(s.torn_frames, 1);
         assert_eq!(s.stream_errors, 1);
-        assert_eq!(m.frames_dropped(), 1);
-        assert_eq!(m.frames_sent(), 2);
-        assert_eq!(m.frames_received(), 1);
         let delta = s.since(&before);
         assert_eq!(delta.frames_sent, 0);
         assert_eq!(delta.reconnect_attempts, 1);
@@ -309,7 +287,7 @@ mod tests {
         // Clones share counters.
         let m2 = m.clone();
         m2.record_frame_dropped();
-        assert_eq!(m.frames_dropped(), 2);
+        assert_eq!(m.snapshot().frames_dropped, 2);
     }
 
     #[test]
@@ -327,7 +305,6 @@ mod tests {
         assert_eq!(s.dropped, 1);
         assert_eq!(s.duplicated, 1);
         assert_eq!(s.lost_receiver_down, 1);
-        assert_eq!(m.sent(), 2);
         assert_eq!(m.delivered(), 1);
     }
 
@@ -337,7 +314,7 @@ mod tests {
         let m2 = m.clone();
         m.record_sent();
         m2.record_sent();
-        assert_eq!(m.sent(), 2);
+        assert_eq!(m.snapshot().sent, 2);
     }
 
     #[test]

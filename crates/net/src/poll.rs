@@ -15,10 +15,10 @@
 //!   `TcpStream::connect` would.
 //!
 //! The workspace is offline, so no `mio`/`libc` crates: the bindings are a
-//! hand-rolled `extern "C"` surface confined to the [`sys`] module — the
-//! only `unsafe` in the crate, each wrapper a direct syscall translation
-//! with errors routed through `io::Error::last_os_error`.  Everything
-//! above [`sys`] is safe code.
+//! hand-rolled `extern "C"` surface confined to the private `sys` module —
+//! the only `unsafe` in the crate, each wrapper a direct syscall
+//! translation with errors routed through `io::Error::last_os_error`.
+//! Everything above `sys` is safe code.
 //!
 //! [`TimerWheel`] rounds the module off: the poller's time source for
 //! reconnect backoff and artificial link delay

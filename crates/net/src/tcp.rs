@@ -25,7 +25,7 @@
 //! Per ordered process pair there is one *simplex* connection: the sender
 //! dials (nonblocking, completion reported by the poller), identifies
 //! itself with a tiny handshake, and streams length-prefixed frames; the
-//! receiver reassembles them with a per-connection [`PeerConn`] buffer and
+//! receiver reassembles them with a per-connection [`FrameReassembler`] and
 //! hands complete frames to the actor as zero-copy [`Bytes`] views of the
 //! read chunk.  Workers hand outbound frames to the poller over a command
 //! queue plus an `eventfd` wakeup; each connection carries a bounded write
@@ -61,8 +61,8 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,7 +77,7 @@ use abcast_types::{ProcessId, ProcessSet, SimDuration, SimTime};
 use crate::actor::{Actor, ActorContext, TimerId};
 use crate::batch::StepContext;
 use crate::frame::{wire_chunks, FrameReassembler, FrameStreamError, DEFAULT_MAX_FRAME_LEN};
-use crate::metrics::{NetworkMetrics, TcpMetrics};
+use crate::metrics::TcpMetrics;
 use crate::poll::{connect_nonblocking, take_connect_error, Epoll, Events, Interest, PollEvent, TimerWheel, WakeFd};
 
 /// First bytes of every connection: proves the dialer speaks this protocol
@@ -86,6 +86,12 @@ const HANDSHAKE_MAGIC: u32 = 0xABCA_57C9;
 
 /// Length of the connection handshake (`magic ‖ sender id`, both LE u32).
 const HANDSHAKE_LEN: usize = 8;
+
+/// First reconnect backoff after a failed dial.
+const RECONNECT_INITIAL: Duration = Duration::from_millis(5);
+
+/// Reconnect backoff ceiling; doubling stops here.
+const RECONNECT_MAX: Duration = Duration::from_millis(200);
 
 /// Artificial outbound link behaviour for one ordered process pair,
 /// applied by the poller's timer wheel before a frame reaches its write
@@ -119,16 +125,9 @@ impl LinkPolicy {
 /// Configuration of the socket transport.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// First reconnect backoff after a failed dial.
-    pub reconnect_initial: Duration,
-    /// Backoff ceiling; doubling stops here.
-    pub reconnect_max: Duration,
     /// Upper bound on one frame body; larger prefixes poison the
     /// connection (stream corruption) instead of allocating.
     pub max_frame_len: usize,
-    /// Disables Nagle's algorithm on every connection (consensus rounds
-    /// are latency-bound request/response traffic).
-    pub nodelay: bool,
     /// Seed for the per-process randomness handed to actors.
     pub seed: u64,
     /// Per-connection write-queue bound in stream bytes: a frame that
@@ -149,10 +148,7 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            reconnect_initial: Duration::from_millis(5),
-            reconnect_max: Duration::from_millis(200),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            nodelay: true,
             seed: 0xABCA57,
             write_queue_limit: 4 * 1024 * 1024,
             link: LinkPolicy { delay: None },
@@ -178,154 +174,6 @@ impl TcpConfig {
     pub fn with_reconnect_reset_grace(mut self, grace: Duration) -> Self {
         self.reconnect_reset_grace = grace;
         self
-    }
-}
-
-/// Receive half of one inbound connection: who the frames are from, plus
-/// the reassembly buffer that turns the byte stream back into frames.
-///
-/// The buffer is **per connection**, never per peer: when the connection
-/// dies, the buffer (and any torn frame in it) dies with it, so a frame
-/// split across a reset can never desynchronize the reconnected stream.
-#[derive(Debug)]
-pub struct PeerConn {
-    peer: ProcessId,
-    reassembler: FrameReassembler,
-}
-
-impl PeerConn {
-    /// Creates the reassembly state for one connection from `peer`.
-    pub fn new(peer: ProcessId, max_frame_len: usize) -> Self {
-        PeerConn {
-            peer,
-            reassembler: FrameReassembler::with_max_frame_len(max_frame_len),
-        }
-    }
-
-    /// The process on the far end of this connection.
-    pub fn peer(&self) -> ProcessId {
-        self.peer
-    }
-
-    /// Ingests one read chunk and returns every frame it completed, each a
-    /// zero-copy view of the chunk whenever the frame arrived in one read.
-    pub fn ingest(&mut self, chunk: Bytes) -> Result<Vec<Bytes>, FrameStreamError> {
-        self.reassembler.push_and_drain(chunk)
-    }
-
-    /// Appends one read chunk without draining (pair with
-    /// [`PeerConn::next_frame`] to hand frames out one at a time, so frames
-    /// completed *before* a stream error still get delivered).
-    pub fn push(&mut self, chunk: Bytes) {
-        self.reassembler.push(chunk);
-    }
-
-    /// Pops the next complete frame, if the stream has delivered one.
-    pub fn next_frame(&mut self) -> Result<Option<Bytes>, FrameStreamError> {
-        self.reassembler.next_frame()
-    }
-
-    /// Bytes buffered toward an incomplete frame.
-    pub fn buffered(&self) -> usize {
-        self.reassembler.buffered()
-    }
-
-    /// `true` when the connection died mid-frame.
-    pub fn has_partial(&self) -> bool {
-        self.reassembler.has_partial()
-    }
-
-    /// Discards the buffered partial frame (connection teardown), returning
-    /// the number of torn bytes dropped.
-    pub fn reset(&mut self) -> usize {
-        self.reassembler.reset()
-    }
-}
-
-/// Shared registry of live streams, so the harness can sever connections
-/// (fault injection) from outside the poller thread.
-///
-/// Severing shuts the socket down (`shutdown(Both)` on a `try_clone`d
-/// handle); the poller then observes the readiness event — a 0-byte read
-/// or a write error — and runs its normal teardown + reconnect path.
-#[derive(Clone, Default)]
-struct ConnRegistry {
-    inner: Arc<Mutex<Vec<ConnEntry>>>,
-    next_id: Arc<AtomicU64>,
-}
-
-struct ConnEntry {
-    id: u64,
-    a: ProcessId,
-    b: ProcessId,
-    stream: TcpStream,
-}
-
-impl ConnRegistry {
-    /// The registry entries, recovering from lock poisoning: a thread that
-    /// panicked while holding the lock must not cascade the panic into
-    /// every other thread — the entries (plain fds) stay valid.
-    fn entries(&self) -> MutexGuard<'_, Vec<ConnEntry>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Registers a live stream between `a` and `b`; returns a handle id for
-    /// deregistration.
-    fn register(&self, a: ProcessId, b: ProcessId, stream: TcpStream) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.entries().push(ConnEntry { id, a, b, stream });
-        id
-    }
-
-    fn deregister(&self, id: u64) {
-        self.entries().retain(|e| e.id != id);
-    }
-
-    /// Hard-kills every registered stream between `a` and `b` (either
-    /// direction); returns how many were severed.
-    fn sever(&self, a: ProcessId, b: ProcessId) -> usize {
-        let guard = self.entries();
-        let mut severed = 0;
-        for entry in guard.iter() {
-            if (entry.a == a && entry.b == b) || (entry.a == b && entry.b == a) {
-                let _ = entry.stream.shutdown(Shutdown::Both);
-                severed += 1;
-            }
-        }
-        severed
-    }
-
-    /// Hard-kills every registered stream touching `p`.
-    fn sever_all_of(&self, p: ProcessId) -> usize {
-        let guard = self.entries();
-        let mut severed = 0;
-        for entry in guard.iter() {
-            if entry.a == p || entry.b == p {
-                let _ = entry.stream.shutdown(Shutdown::Both);
-                severed += 1;
-            }
-        }
-        severed
-    }
-
-    /// Hard-kills everything (runtime shutdown).
-    fn sever_everything(&self) {
-        for entry in self.entries().iter() {
-            let _ = entry.stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Removes a registry entry when dropped, so every inbound-connection exit
-/// path deregisters its stream.
-struct RegistrationGuard {
-    registry: ConnRegistry,
-    id: u64,
-}
-
-impl Drop for RegistrationGuard {
-    fn drop(&mut self) {
-        self.registry.deregister(self.id);
     }
 }
 
@@ -439,6 +287,14 @@ enum PollCmd {
     /// immediately drop every inbound connection (`refuse` on), or restore
     /// normal accepts (`refuse` off).
     RefuseInbound { dst: ProcessId, refuse: bool },
+    /// Fault injection: shut down every live stream between `a` and `b`
+    /// (either direction), or every stream touching `a` when `b` is
+    /// `None`, and reply with the number of stream ends shut.
+    Sever {
+        a: ProcessId,
+        b: Option<ProcessId>,
+        reply: Sender<usize>,
+    },
     /// Tear everything down and exit the poller thread.
     Shutdown,
 }
@@ -492,10 +348,8 @@ pub struct TcpRuntime<A: Actor<Msg = Bytes>> {
     activity: Activity,
     processes: ProcessSet,
     storage: StorageRegistry,
-    metrics: NetworkMetrics,
     tcp_metrics: TcpMetrics,
     addrs: Vec<SocketAddr>,
-    registry: ConnRegistry,
 }
 
 impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
@@ -517,9 +371,7 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
         assert_eq!(storage.len(), n, "one storage per process is required");
         let factory = Arc::new(factory);
         let processes = ProcessSet::new(n);
-        let metrics = NetworkMetrics::new();
         let tcp_metrics = TcpMetrics::new();
-        let registry = ConnRegistry::default();
         let activity = Activity::default();
 
         // Bind every listener before anything dials, so first connection
@@ -547,7 +399,6 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
             waker.clone(),
             config.clone(),
             tcp_metrics.clone(),
-            registry.clone(),
         )?;
         let poller_handle = Some(
             std::thread::Builder::new()
@@ -573,7 +424,6 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
                 waker: waker.clone(),
                 loopback: inputs[index].clone(),
                 factory: factory.clone(),
-                metrics: metrics.clone(),
                 tcp_metrics: tcp_metrics.clone(),
                 activity: activity.clone(),
                 rng: StdRng::seed_from_u64(config.seed ^ (index as u64).wrapping_mul(0x9E37)),
@@ -596,10 +446,8 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
             activity,
             processes,
             storage,
-            metrics,
             tcp_metrics,
             addrs,
-            registry,
         })
     }
 
@@ -611,12 +459,6 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
     /// The storage registry backing this deployment.
     pub fn storage(&self) -> &StorageRegistry {
         &self.storage
-    }
-
-    /// Message-level transport metrics (sent / delivered / lost), shared
-    /// with the in-process runtime's accounting.
-    pub fn metrics(&self) -> &NetworkMetrics {
-        &self.metrics
     }
 
     /// Socket-level transport metrics (connections, reconnects, drops,
@@ -662,16 +504,27 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
 
     /// Hard-kills every live connection between `a` and `b`, in both
     /// directions.  Both ends observe a reset; the poller reconnects —
-    /// with backoff once dials start failing.  Returns how many streams
-    /// were severed.
+    /// with backoff once dials start failing.  Returns how many stream
+    /// ends were severed (two per connection).
     pub fn sever_link(&self, a: ProcessId, b: ProcessId) -> usize {
-        self.registry.sever(a, b)
+        self.sever(a, Some(b))
     }
 
     /// Hard-kills every live connection touching `p` (the "pull the
-    /// network cable" fault).  Returns how many streams were severed.
+    /// network cable" fault).  Returns how many stream ends were severed.
     pub fn sever_process(&self, p: ProcessId) -> usize {
-        self.registry.sever_all_of(p)
+        self.sever(p, None)
+    }
+
+    /// Asks the poller, which owns every socket, to sever; 0 once it is
+    /// gone (its teardown already closed every stream).
+    fn sever(&self, a: ProcessId, b: Option<ProcessId>) -> usize {
+        let (reply, severed) = bounded(1);
+        if self.poll_tx.send(PollCmd::Sever { a, b, reply }).is_err() {
+            return 0;
+        }
+        self.waker.notify();
+        severed.recv().unwrap_or(0)
     }
 
     /// Fault injection: while enabled, process `p`'s listener accepts and
@@ -688,17 +541,6 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
     pub fn set_link_policy(&self, from: ProcessId, to: ProcessId, policy: LinkPolicy) {
         let _ = self.poll_tx.send(PollCmd::SetLink { src: from, dst: to, policy });
         self.waker.notify();
-    }
-
-    /// Replaces the link policy of every ordered pair.
-    pub fn set_link_policy_all(&self, policy: LinkPolicy) {
-        for from in self.processes.clone().iter() {
-            for to in self.processes.clone().iter() {
-                if from != to {
-                    self.set_link_policy(from, to, policy);
-                }
-            }
-        }
     }
 
     /// Runs `f` against the live actor of process `p` and returns its
@@ -787,8 +629,6 @@ impl<A: Actor<Msg = Bytes>> TcpRuntime<A> {
         if let Some(handle) = self.poller_handle.take() {
             let _ = handle.join();
         }
-        // Safety net: any stream a failed poller left behind.
-        self.registry.sever_everything();
     }
 }
 
@@ -939,7 +779,6 @@ enum OutConn {
         stream: TcpStream,
         token: u64,
         queue: WriteQueue,
-        reg: Option<u64>,
         /// Whether the current epoll registration includes writability.
         wants_write: bool,
         /// When the dial completed; with the handshake flushed and
@@ -979,7 +818,11 @@ enum InboundClose {
 /// Handshake-then-stream state of one inbound connection.
 enum InState {
     Handshake { buf: [u8; HANDSHAKE_LEN], got: usize },
-    Streaming(PeerConn),
+    /// Frames from `peer`.  The reassembler is **per connection**, never
+    /// per peer: when the connection dies, any torn frame in it dies with
+    /// it, so a frame split across a reset can never desynchronize the
+    /// reconnected stream.
+    Streaming { peer: ProcessId, reassembler: FrameReassembler },
 }
 
 struct InboundConn {
@@ -987,8 +830,6 @@ struct InboundConn {
     me: ProcessId,
     stream: TcpStream,
     state: InState,
-    /// Fault-injection registration; dropping deregisters.
-    reg: Option<RegistrationGuard>,
 }
 
 struct PollerThread<A: Actor<Msg = Bytes>> {
@@ -998,7 +839,6 @@ struct PollerThread<A: Actor<Msg = Bytes>> {
     inputs: Vec<Sender<Input<A>>>,
     config: TcpConfig,
     tcp_metrics: TcpMetrics,
-    registry: ConnRegistry,
     listeners: Vec<TcpListener>,
     tokens: BTreeMap<u64, TokenKind>,
     next_token: u64,
@@ -1015,7 +855,6 @@ struct PollerThread<A: Actor<Msg = Bytes>> {
 }
 
 impl<A: Actor<Msg = Bytes>> PollerThread<A> {
-    #[allow(clippy::too_many_arguments)] // lint: internal constructor wiring the runtime's shared handles through; called exactly once
     fn new(
         listeners: Vec<TcpListener>,
         addrs: Vec<SocketAddr>,
@@ -1024,7 +863,6 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
         waker: Arc<PollWaker>,
         config: TcpConfig,
         tcp_metrics: TcpMetrics,
-        registry: ConnRegistry,
     ) -> io::Result<Self> {
         let n = listeners.len();
         let mut pairs = Vec::with_capacity(n * n);
@@ -1034,7 +872,7 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
                     src: ProcessId::new(src as u32),
                     dst: ProcessId::new(dst as u32),
                     addr: *addr,
-                    backoff: config.reconnect_initial,
+                    backoff: RECONNECT_INITIAL,
                     policy: config.link,
                     conn: OutConn::Idle,
                 });
@@ -1048,7 +886,6 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
             inputs,
             config,
             tcp_metrics,
-            registry,
             listeners,
             tokens: BTreeMap::new(),
             next_token: 0,
@@ -1171,9 +1008,42 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
                         self.refuse_inbound[index] = refuse;
                     }
                 }
+                PollCmd::Sever { a, b, reply } => {
+                    let _ = reply.send(self.sever(a, b));
+                }
                 PollCmd::Shutdown => self.stop = true,
             }
         }
+    }
+
+    /// Shuts down every live stream end between `a` and `b` (either
+    /// direction), or touching `a` when `b` is `None`: streaming outbound
+    /// connections and inbound ones past their handshake.  Only the
+    /// sockets are shut; the readiness events that follow run the usual
+    /// teardown and redial.  Returns the number of stream ends shut.
+    fn sever(&mut self, a: ProcessId, b: Option<ProcessId>) -> usize {
+        let touches = |x: ProcessId, y: ProcessId| match b {
+            Some(b) => (x == a && y == b) || (x == b && y == a),
+            None => x == a || y == a,
+        };
+        let mut severed = 0;
+        for pair in &self.pairs {
+            if let OutConn::Streaming { stream, .. } = &pair.conn {
+                if touches(pair.src, pair.dst) {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    severed += 1;
+                }
+            }
+        }
+        for conn in self.inbound.values() {
+            if let InState::Streaming { peer, .. } = conn.state {
+                if touches(peer, conn.me) {
+                    let _ = conn.stream.shutdown(Shutdown::Both);
+                    severed += 1;
+                }
+            }
+        }
+        severed
     }
 
     fn fire_timer(&mut self, timer: TransportTimer) {
@@ -1254,7 +1124,7 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
         let state = &mut self.pairs[pair];
         state.conn = OutConn::Idle;
         let delay = state.backoff;
-        state.backoff = (state.backoff * 2).min(self.config.reconnect_max);
+        state.backoff = (state.backoff * 2).min(RECONNECT_MAX);
         self.timers.insert(Instant::now() + delay, TransportTimer::Redial(pair));
     }
 
@@ -1306,15 +1176,12 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
         else {
             return;
         };
-        let _ = stream.set_nodelay(self.config.nodelay);
+        // Nagle off: consensus rounds are latency-bound request/response
+        // traffic.
+        let _ = stream.set_nodelay(true);
         self.tcp_metrics.record_connection_established();
-        let (src, dst) = (self.pairs[pair].src, self.pairs[pair].dst);
-        let reg = stream
-            .try_clone()
-            .ok()
-            .map(|clone| self.registry.register(src, dst, clone));
         let mut queue = WriteQueue::default();
-        queue.push_preamble(handshake_bytes(src));
+        queue.push_preamble(handshake_bytes(self.pairs[pair].src));
         for frame in &pending {
             queue.push_frame(frame);
         }
@@ -1328,7 +1195,6 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
             stream,
             token,
             queue,
-            reg,
             // Registered WRITE during the dial; the first flush below
             // re-registers according to what is left in the queue.
             wants_write: true,
@@ -1432,7 +1298,7 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
                 self.tokens.remove(&token);
                 let _ = stream.shutdown(Shutdown::Both);
             }
-            OutConn::Streaming { stream, token, queue, reg, .. } => {
+            OutConn::Streaming { stream, token, queue, .. } => {
                 // Frames still queued are fair-lossy losses — except at
                 // final shutdown, where the whole deployment (and every
                 // receiver) is going away with them: nothing is "lost"
@@ -1442,9 +1308,6 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
                         self.tcp_metrics.record_frame_dropped();
                     }
                 }
-                if let Some(id) = reg {
-                    self.registry.deregister(id);
-                }
                 let _ = self.epoll.deregister(stream.as_raw_fd());
                 self.tokens.remove(&token);
                 let _ = stream.shutdown(Shutdown::Both);
@@ -1452,7 +1315,7 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
         }
         if redial && !self.stop {
             if healthy {
-                self.pairs[pair].backoff = self.config.reconnect_initial;
+                self.pairs[pair].backoff = RECONNECT_INITIAL;
                 self.start_dial(pair);
             } else {
                 self.dial_failed(pair);
@@ -1477,7 +1340,7 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                    let _ = stream.set_nodelay(self.config.nodelay);
+                    let _ = stream.set_nodelay(true);
                     let token = self.alloc_token(TokenKind::Inbound);
                     if self.epoll.register(stream.as_raw_fd(), token, Interest::READ).is_err() {
                         self.tokens.remove(&token);
@@ -1489,7 +1352,6 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
                             me: ProcessId::new(index as u32),
                             stream,
                             state: InState::Handshake { buf: [0u8; HANDSHAKE_LEN], got: 0 },
-                            reg: None,
                         },
                     );
                 }
@@ -1559,27 +1421,26 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
             peer.copy_from_slice(&buf[4..]);
             let peer = ProcessId::new(u32::from_le_bytes(peer));
             self.tcp_metrics.record_connection_accepted();
-            conn.reg = conn.stream.try_clone().ok().map(|clone| RegistrationGuard {
-                registry: self.registry.clone(),
-                id: self.registry.register(peer, conn.me, clone),
-            });
-            conn.state = InState::Streaming(PeerConn::new(peer, self.config.max_frame_len));
+            conn.state = InState::Streaming {
+                peer,
+                reassembler: FrameReassembler::with_max_frame_len(self.config.max_frame_len),
+            };
             chunk = chunk.slice(take..);
             if chunk.is_empty() {
                 return None;
             }
         }
 
-        let InState::Streaming(peer_conn) = &mut conn.state else { return None };
-        peer_conn.push(chunk);
+        let InState::Streaming { peer, reassembler } = &mut conn.state else { return None };
+        reassembler.push(chunk);
         // Drain frame by frame, so frames completed before a corrupt
         // prefix in the same chunk are still delivered (and counted)
         // rather than vanishing with the error.
         loop {
-            match peer_conn.next_frame() {
+            match reassembler.next_frame() {
                 Ok(Some(frame)) => {
                     self.tcp_metrics.record_frame_received();
-                    let input = Input::Message { from: peer_conn.peer(), msg: frame };
+                    let input = Input::Message { from: *peer, msg: frame };
                     if self.inputs[conn.me.index()].send(input).is_err() {
                         // Worker gone: deployment is shutting down.
                         return Some(InboundClose::Dead);
@@ -1597,23 +1458,19 @@ impl<A: Actor<Msg = Bytes>> PollerThread<A> {
         }
     }
 
-    fn finish_inbound(&mut self, token: u64, mut conn: InboundConn, close: InboundClose) {
+    fn finish_inbound(&mut self, token: u64, conn: InboundConn, close: InboundClose) {
         self.tokens.remove(&token);
         let _ = self.epoll.deregister(conn.stream.as_raw_fd());
-        if close == InboundClose::Dead {
-            if let InState::Streaming(peer_conn) = &mut conn.state {
-                if peer_conn.has_partial() {
-                    // The connection died mid-frame; the torn bytes die
-                    // with its buffer (fair-lossy loss of that one frame).
-                    // A corrupted stream is counted as a stream error
-                    // instead, not as a torn frame on top.
-                    self.tcp_metrics.record_torn_frame();
-                    peer_conn.reset();
-                }
+        if let (InboundClose::Dead, InState::Streaming { reassembler, .. }) = (close, &conn.state) {
+            if reassembler.has_partial() {
+                // The connection died mid-frame; the torn bytes die with
+                // its buffer (fair-lossy loss of that one frame).  A
+                // corrupted stream is counted as a stream error instead,
+                // not as a torn frame on top.
+                self.tcp_metrics.record_torn_frame();
             }
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
-        // `conn.reg` drops here and deregisters the stream.
     }
 
     // --- shutdown -----------------------------------------------------------
@@ -1654,7 +1511,6 @@ struct Worker<A: Actor<Msg = Bytes>> {
     waker: Arc<PollWaker>,
     loopback: Sender<Input<A>>,
     factory: Arc<dyn Fn(ProcessId, SharedStorage) -> A + Send + Sync>,
-    metrics: NetworkMetrics,
     tcp_metrics: TcpMetrics,
     activity: Activity,
     rng: StdRng,
@@ -1737,14 +1593,9 @@ impl<A: Actor<Msg = Bytes>> Worker<A> {
             match input {
                 Input::Message { from, msg } => {
                     progressed = true;
-                    let worker_ctx = group.inner_mut();
-                    match actor.as_mut() {
-                        Some(a) => {
-                            worker_ctx.worker.metrics.record_delivered();
-                            worker_ctx.restart_clock();
-                            a.on_message(from, msg, &mut group);
-                        }
-                        None => worker_ctx.worker.metrics.record_lost_receiver_down(),
+                    if let Some(a) = actor.as_mut() {
+                        group.inner_mut().restart_clock();
+                        a.on_message(from, msg, &mut group);
                     }
                 }
                 Input::ClientRequest(payload) => {
@@ -1869,7 +1720,6 @@ impl<'a, A: Actor<Msg = Bytes>> TcpWorkerContext<'a, A> {
     }
 
     fn transmit(&mut self, to: ProcessId, frame: Bytes) {
-        self.worker.metrics.record_sent();
         if to == self.worker.me {
             // Self-sends short-circuit through the local queue (the usual
             // loopback fast path); delivery accounting is unchanged.
@@ -2056,6 +1906,41 @@ mod tests {
             tcp.connections_established > 2,
             "reconnects must re-establish connections: {tcp:?}"
         );
+        runtime.shutdown();
+    }
+
+    #[test]
+    fn severing_a_link_cuts_both_ends_of_both_directions_and_redials_only_that_pair() {
+        let runtime = start(3);
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        // Warm up: all six connections handshaken, so every stream end
+        // that can be severed exists.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while runtime.tcp_metrics().snapshot().connections_accepted < 6 {
+            assert!(Instant::now() < deadline, "connections must establish");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let before = runtime.tcp_metrics().snapshot();
+
+        assert_eq!(
+            runtime.sever_link(p0, p1),
+            4,
+            "both ends of the 0 -> 1 and the 1 -> 0 connection"
+        );
+
+        // Traffic resumes on both links once both dialers are accepted again.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while runtime.tcp_metrics().snapshot().since(&before).connections_accepted < 2 {
+            assert!(Instant::now() < deadline, "the severed pair must reconnect");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let received = runtime.inspect(p1, |a| a.received).unwrap();
+        runtime
+            .wait_for(p1, Duration::from_secs(10), move |a| (a.received > received + 3).then_some(()))
+            .expect("traffic resumes");
+        let delta = runtime.tcp_metrics().snapshot().since(&before);
+        assert_eq!(delta.connections_established, 2, "only the severed pair redialled: {delta:?}");
+        assert_eq!(delta.connections_accepted, 2, "{delta:?}");
         runtime.shutdown();
     }
 
@@ -2408,8 +2293,8 @@ mod tests {
             }
 
             let conns_count = expected.len();
-            let mut conns: Vec<PeerConn> = (0..conns_count)
-                .map(|c| PeerConn::new(ProcessId::new(c as u32), DEFAULT_MAX_FRAME_LEN))
+            let mut conns: Vec<FrameReassembler> = (0..conns_count)
+                .map(|_| FrameReassembler::with_max_frame_len(DEFAULT_MAX_FRAME_LEN))
                 .collect();
             let mut cursors = vec![0usize; conns_count];
             let mut out: Vec<Vec<Bytes>> = vec![Vec::new(); conns_count];
@@ -2418,7 +2303,7 @@ mod tests {
             // order with arbitrary read sizes; each read is pushed and
             // drained before the next connection's, like the poller does.
             let mut feed = |c: usize, take: usize,
-                            conns: &mut Vec<PeerConn>,
+                            conns: &mut Vec<FrameReassembler>,
                             cursors: &mut Vec<usize>,
                             out: &mut Vec<Vec<Bytes>>| {
                 let stream = &streams[c];

@@ -22,8 +22,6 @@ pub struct ScriptedContext<M> {
     processes: ProcessSet,
     now: SimTime,
     storage: SharedStorage,
-    rng_values: Vec<u64>,
-    rng_cursor: usize,
     /// Every `send` performed, in order.
     pub sent: Vec<(ProcessId, M)>,
     /// Every `multisend` performed, in order.
@@ -41,8 +39,6 @@ impl<M> ScriptedContext<M> {
             processes: ProcessSet::new(n),
             now: SimTime::ZERO,
             storage: Arc::new(InMemoryStorage::new()),
-            rng_values: Vec::new(),
-            rng_cursor: 0,
             sent: Vec::new(),
             multisent: Vec::new(),
             timers: BTreeMap::new(),
@@ -56,36 +52,15 @@ impl<M> ScriptedContext<M> {
         self
     }
 
-    /// Pre-loads the values returned by [`ActorContext::random_u64`].
-    pub fn with_random_values(mut self, values: Vec<u64>) -> Self {
-        self.rng_values = values;
-        self
-    }
-
     /// Advances the virtual clock by `delta`.
     pub fn advance(&mut self, delta: SimDuration) {
         self.now += delta;
-    }
-
-    /// Sets the virtual clock to `now`.
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
     }
 
     /// Clears the recorded effects (but keeps storage, time and timers).
     pub fn clear_effects(&mut self) {
         self.sent.clear();
         self.multisent.clear();
-    }
-
-    /// All messages sent or multisent, flattened, in order of emission kind
-    /// (sends first, then multisends).
-    pub fn all_outgoing(&self) -> Vec<&M> {
-        self.sent
-            .iter()
-            .map(|(_, m)| m)
-            .chain(self.multisent.iter())
-            .collect()
     }
 
     /// Deadline of the given timer, if armed.
@@ -132,13 +107,9 @@ impl<M> ActorContext<M> for ScriptedContext<M> {
         &self.storage
     }
 
+    /// A fixed value: no component under unit test draws randomness.
     fn random_u64(&mut self) -> u64 {
-        if self.rng_values.is_empty() {
-            return 0x5EED;
-        }
-        let value = self.rng_values[self.rng_cursor % self.rng_values.len()];
-        self.rng_cursor += 1;
-        value
+        0x5EED
     }
 }
 
@@ -154,7 +125,6 @@ mod tests {
         ctx.multisend("broadcast");
         assert_eq!(ctx.sent, vec![(ProcessId::new(1), "direct")]);
         assert_eq!(ctx.multisent, vec!["broadcast"]);
-        assert_eq!(ctx.all_outgoing(), vec![&"direct", &"broadcast"]);
         ctx.clear_effects();
         assert!(ctx.sent.is_empty() && ctx.multisent.is_empty());
     }
@@ -172,8 +142,6 @@ mod tests {
         assert_eq!(ctx.now(), SimTime::from_micros(3_000));
         ctx.cancel_timer(TimerId::new(5));
         assert_eq!(ctx.timer_deadline(TimerId::new(5)), None);
-        ctx.set_now(SimTime::from_micros(99));
-        assert_eq!(ctx.now(), SimTime::from_micros(99));
     }
 
     #[test]
@@ -186,16 +154,5 @@ mod tests {
             ScriptedContext::new(ProcessId::new(0), 1).with_storage(ctx.storage_handle());
         let value: Option<u64> = recovered.storage().load_value(&StorageKey::new("x")).unwrap();
         assert_eq!(value, Some(7));
-    }
-
-    #[test]
-    fn scripted_randomness_cycles() {
-        let mut ctx: ScriptedContext<()> =
-            ScriptedContext::new(ProcessId::new(0), 1).with_random_values(vec![1, 2]);
-        assert_eq!(ctx.random_u64(), 1);
-        assert_eq!(ctx.random_u64(), 2);
-        assert_eq!(ctx.random_u64(), 1);
-        let mut plain: ScriptedContext<()> = ScriptedContext::new(ProcessId::new(0), 1);
-        assert_eq!(plain.random_u64(), 0x5EED);
     }
 }

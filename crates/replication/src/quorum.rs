@@ -10,7 +10,7 @@
 //!
 //! This module provides the quorum machinery: weighted configurations,
 //! intersection validation, and the read/write reply-combination logic used
-//! by the `replicated_kv` example and experiment E10.  The versions
+//! by the `replicated_kv` example and its integration test.  The versions
 //! themselves are installed through the replicated state machine layer, so
 //! writes inherit the fault tolerance of the crash-recovery broadcast.
 

@@ -3,7 +3,7 @@
 //! [`FaultyStorage`] wraps any [`StableStorage`] and injects disk faults at
 //! *seeded points*: every write operation (each staged op of a batch counts
 //! individually) and every read call advances a deterministic op counter,
-//! and when the counter crosses a scheduled [`FaultPoint`] the operation
+//! and when the counter crosses a point of its [`FaultSchedule`] the operation
 //! fails the way a real disk does:
 //!
 //! * **disk-full** — the write is rejected before anything reaches the
@@ -144,11 +144,6 @@ impl FaultyStorage {
     /// must converge.
     pub fn disarm(&self) {
         self.armed.store(false, Ordering::Release);
-    }
-
-    /// Re-enables fault injection.
-    pub fn arm(&self) {
-        self.armed.store(true, Ordering::Release);
     }
 
     /// Counts of faults injected so far, by kind.

@@ -44,11 +44,6 @@ impl<T: Encode + Decode + Ord + Clone> IncrementalSetLogger<T> {
         }
     }
 
-    /// Number of elements known to already be on stable storage.
-    pub fn persisted_len(&self) -> usize {
-        self.last_persisted.len()
-    }
-
     /// Appends the elements of `set` not yet persisted.  Returns the number
     /// of elements written (0 when the write was skipped entirely).
     pub fn persist(&mut self, storage: &dyn StableStorage, set: &BTreeSet<T>) -> Result<usize> {
@@ -266,12 +261,10 @@ mod tests {
 
         // Crash: volatile bookkeeping lost.
         logger.forget();
-        assert_eq!(logger.persisted_len(), 0);
 
-        // After recovery the process persists again, possibly re-writing
-        // elements it no longer knows are logged — correct, just not
-        // minimal.
-        logger.persist(&storage, &set(&[2, 3, 4])).unwrap();
+        // After recovery the process persists again, re-writing elements
+        // it no longer knows are logged — correct, just not minimal.
+        assert_eq!(logger.persist(&storage, &set(&[2, 3, 4])).unwrap(), 3);
         let recovered = logger.recover(&storage).unwrap();
         assert!(recovered.is_superset(&set(&[1, 2, 3, 4])));
     }

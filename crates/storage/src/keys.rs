@@ -11,11 +11,13 @@
 //! | `abcast/agreed` | slot | checkpoint task: full `(k, Agreed)` snapshot | §5.1 |
 //! | `abcast/agreed/delta` | log | checkpoint task: `(k, new messages)` since the snapshot | §5.1+§5.5 |
 //! | `abcast/unordered/incr` | log | `A-broadcast` (alternative protocol): the `Unordered` messages added since the previous append | §5.4+§5.5 |
+//! | `abcast/broadcast-epoch` | slot | first `A-broadcast` after a (re)start (basic protocol): the high bits of this incarnation's sequence numbers | §4.1 |
 //! | `consensus/<k>/proposal` | slot | consensus proposer, first operation of the instance | §4.2 |
 //! | `consensus/<k>/promised` | slot | consensus acceptor | §3.2 |
 //! | `consensus/<k>/accepted` | slot | consensus acceptor | §3.2 |
 //! | `consensus/<k>/decided` | slot | consensus learner | §3.2 |
 //! | `consensus/floor` | slot | GC task: durable forget watermark (Figure 4, line *c*) | §5.3 |
+//! | `fd/epoch` | slot | failure detector start: the incarnation number its heartbeats carry | §3.5 |
 //!
 //! `cargo xtask analyze` (rule K1) checks this table against the
 //! constructors below — a row without a constructor, or a constructor
@@ -50,6 +52,14 @@ pub fn agreed_delta() -> StorageKey {
 /// one (Section 5.5).
 pub fn unordered_incremental() -> StorageKey {
     StorageKey::new("abcast/unordered/incr")
+}
+
+/// Key of the basic protocol's *broadcast epoch*: bumped by the first
+/// `A-broadcast` after each (re)start and used as the high bits of the
+/// sequence numbers assigned in that incarnation, so identities never
+/// repeat across crashes without logging every broadcast.
+pub fn broadcast_epoch() -> StorageKey {
+    StorageKey::new("abcast/broadcast-epoch")
 }
 
 /// Key of the value this process proposed to consensus instance `k`.
@@ -92,15 +102,11 @@ pub fn consensus_floor() -> StorageKey {
     StorageKey::new("consensus/floor")
 }
 
-/// Extracts the round number from a `consensus/<k>/decided` key, if it is
-/// one.
-pub fn parse_consensus_decided(key: &StorageKey) -> Option<Round> {
-    let rest = key.as_str().strip_prefix(CONSENSUS_PREFIX)?;
-    let (round, tail) = rest.split_once('/')?;
-    if tail != "decided" {
-        return None;
-    }
-    round.parse::<u64>().ok().map(Round::new)
+/// Key of the failure detector's epoch counter: the number of (re)starts
+/// of this process, carried in its heartbeats so peers can tell its
+/// incarnations apart (Section 3.5).
+pub fn fd_epoch() -> StorageKey {
+    StorageKey::new("fd/epoch")
 }
 
 /// Extracts the instance number from any `consensus/<k>/…` key.
@@ -142,19 +148,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_consensus_decided_inverts_construction() {
-        let k = Round::new(17);
-        assert_eq!(parse_consensus_decided(&consensus_decided(k)), Some(k));
-        assert_eq!(parse_consensus_decided(&consensus_promised(k)), None);
-        assert_eq!(parse_consensus_decided(&unordered_incremental()), None);
-    }
-
-    #[test]
     fn fixed_keys_are_stable() {
         assert_eq!(agreed_checkpoint().as_str(), "abcast/agreed");
         assert_eq!(agreed_delta().as_str(), "abcast/agreed/delta");
         assert_eq!(unordered_incremental().as_str(), "abcast/unordered/incr");
         assert_eq!(consensus_floor().as_str(), "consensus/floor");
+        // Written before the table listed them: existing WALs must reopen.
+        assert_eq!(broadcast_epoch().as_str(), "abcast/broadcast-epoch");
+        assert_eq!(fd_epoch().as_str(), "fd/epoch");
     }
 
     #[test]

@@ -37,30 +37,6 @@ impl InMemoryStorage {
     pub fn new() -> Self {
         InMemoryStorage::default()
     }
-
-    /// Creates an empty storage that reports into an externally supplied
-    /// metrics collector (used when several storages should be aggregated).
-    pub fn with_metrics(metrics: StorageMetrics) -> Self {
-        InMemoryStorage {
-            records: Mutex::new(Records::default()),
-            metrics,
-        }
-    }
-
-    /// Number of distinct keys currently stored (slots plus logs).
-    pub fn key_count(&self) -> usize {
-        let records = self.records.lock();
-        records.slots.len() + records.logs.len()
-    }
-
-    /// Drops every record.  This models *losing* the stable storage, which
-    /// the paper never allows — it exists only so tests can assert what
-    /// would go wrong without stable storage.
-    pub fn wipe(&self) {
-        let mut records = self.records.lock();
-        records.slots.clear();
-        records.logs.clear();
-    }
 }
 
 impl StableStorage for InMemoryStorage {
@@ -214,7 +190,7 @@ mod tests {
         s.remove(&key("log")).unwrap();
         assert_eq!(s.load(&key("slot")).unwrap(), None);
         assert!(s.load_log(&key("log")).unwrap().is_empty());
-        assert_eq!(s.key_count(), 0);
+        assert!(s.keys().unwrap().is_empty());
     }
 
     #[test]
@@ -253,26 +229,6 @@ mod tests {
         assert_eq!(s.footprint_bytes(), 8);
         s.remove(&key("l")).unwrap();
         assert_eq!(s.footprint_bytes(), 2);
-    }
-
-    #[test]
-    fn wipe_clears_everything() {
-        let s = InMemoryStorage::new();
-        s.store(&key("a"), b"x").unwrap();
-        s.append(&key("l"), b"y").unwrap();
-        s.wipe();
-        assert_eq!(s.key_count(), 0);
-        assert_eq!(s.footprint_bytes(), 0);
-    }
-
-    #[test]
-    fn shared_metrics_aggregate_two_storages() {
-        let metrics = StorageMetrics::new();
-        let a = InMemoryStorage::with_metrics(metrics.clone());
-        let b = InMemoryStorage::with_metrics(metrics.clone());
-        a.store(&key("x"), &[0u8; 1]).unwrap();
-        b.store(&key("y"), &[0u8; 1]).unwrap();
-        assert_eq!(metrics.write_ops(), 2);
     }
 
     proptest! {

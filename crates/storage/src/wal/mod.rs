@@ -20,8 +20,8 @@
 //!   fsynced, renamed to `p.wal.seg-<seq>` and replaced by a fresh active
 //!   segment under one directory barrier — an O(1) rotation, the only
 //!   maintenance the write path ever pays;
-//! * a **background compaction worker** (see [`compactor`]) writes the
-//!   in-memory view as the compacted base `p.wal.base` (live records only,
+//! * a **background compaction worker** (the private `compactor` module)
+//!   writes the in-memory view as the compacted base `p.wal.base` (live records only,
 //!   same framing) and deletes the segments the base covers — record
 //!   garbage from overwritten slots and checkpoint-truncated logs is
 //!   reclaimed without ever blocking a group commit, which is what keeps

@@ -12,21 +12,15 @@ use serde::{Deserialize, Serialize};
 
 use crate::time::SimDuration;
 
-/// Timer periods used by the protocol stack.
+/// Timer periods of the broadcast layer.  The consensus substrate's
+/// retransmission tick and the failure detector's heartbeat and suspicion
+/// timeout are set in `ConsensusConfig` (and its `FdConfig`).
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimerConfig {
     /// Period of the gossip task (`multisend gossip(k, Unordered)`).
     pub gossip_period: SimDuration,
     /// Period of the checkpoint task of the alternative protocol.
     pub checkpoint_period: SimDuration,
-    /// Retransmission timeout of the consensus substrate (fair-lossy
-    /// channels force every protocol message to be retransmitted until
-    /// acknowledged or obsolete).
-    pub consensus_retransmit: SimDuration,
-    /// Heartbeat period of the failure detector.
-    pub heartbeat_period: SimDuration,
-    /// Initial suspicion timeout of the failure detector.
-    pub suspicion_timeout: SimDuration,
 }
 
 impl Default for TimerConfig {
@@ -34,9 +28,6 @@ impl Default for TimerConfig {
         TimerConfig {
             gossip_period: SimDuration::from_millis(20),
             checkpoint_period: SimDuration::from_millis(200),
-            consensus_retransmit: SimDuration::from_millis(40),
-            heartbeat_period: SimDuration::from_millis(10),
-            suspicion_timeout: SimDuration::from_millis(60),
         }
     }
 }
@@ -188,12 +179,6 @@ impl ProtocolConfig {
         }
     }
 
-    /// Sets the gossip period.
-    pub fn with_gossip_period(mut self, period: SimDuration) -> Self {
-        self.timers.gossip_period = period;
-        self
-    }
-
     /// Sets the checkpoint period.
     pub fn with_checkpoint_period(mut self, period: SimDuration) -> Self {
         self.timers.checkpoint_period = period;
@@ -269,13 +254,11 @@ mod tests {
     #[test]
     fn builder_methods_apply() {
         let c = ProtocolConfig::basic()
-            .with_gossip_period(SimDuration::from_millis(5))
             .with_checkpoint_period(SimDuration::from_millis(50))
             .with_delta(3)
             .with_batching(BatchingPolicy::EarlyReturn { max_batch: 10 })
             .with_application_checkpoints(true)
             .with_checkpoint_snapshot_every(0);
-        assert_eq!(c.timers.gossip_period, SimDuration::from_millis(5));
         assert_eq!(c.timers.checkpoint_period, SimDuration::from_millis(50));
         assert_eq!(c.recovery.delta(), Some(3));
         assert_eq!(c.batching.max_batch(), 10);

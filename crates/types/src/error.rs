@@ -4,7 +4,6 @@ use std::fmt;
 
 use crate::codec::DecodeError;
 use crate::id::ProcessId;
-use crate::round::Round;
 
 /// Convenient result alias used throughout the workspace.
 pub type Result<T> = std::result::Result<T, AbcastError>;
@@ -17,44 +16,14 @@ pub enum AbcastError {
     Storage(String),
     /// A stored or received record could not be decoded.
     Corrupt(DecodeError),
-    /// An operation was attempted on a process that is currently down.
-    ProcessDown(ProcessId),
     /// An operation referenced a process outside the configured set.
     UnknownProcess(ProcessId),
-    /// A consensus instance violated its interface contract (e.g. a second,
-    /// different decision was observed for the same round).
-    ConsensusContract {
-        /// The consensus instance / broadcast round concerned.
-        round: Round,
-        /// Human-readable description of the violation.
-        detail: String,
-    },
-    /// The protocol configuration is invalid (e.g. a zero timer period).
-    InvalidConfig(String),
-    /// An operation timed out (only produced by the thread runtime; the
-    /// simulator never times out).
-    Timeout(String),
-    /// The runtime driving the protocol has shut down.
-    Shutdown,
 }
 
 impl AbcastError {
     /// Creates a storage error from any displayable cause.
     pub fn storage(cause: impl fmt::Display) -> Self {
         AbcastError::Storage(cause.to_string())
-    }
-
-    /// Creates an invalid-configuration error.
-    pub fn invalid_config(detail: impl Into<String>) -> Self {
-        AbcastError::InvalidConfig(detail.into())
-    }
-
-    /// Creates a consensus-contract violation error.
-    pub fn consensus_contract(round: Round, detail: impl Into<String>) -> Self {
-        AbcastError::ConsensusContract {
-            round,
-            detail: detail.into(),
-        }
     }
 }
 
@@ -63,14 +32,7 @@ impl fmt::Display for AbcastError {
         match self {
             AbcastError::Storage(msg) => write!(f, "stable storage error: {msg}"),
             AbcastError::Corrupt(err) => write!(f, "corrupt record: {err}"),
-            AbcastError::ProcessDown(p) => write!(f, "process {p} is down"),
             AbcastError::UnknownProcess(p) => write!(f, "process {p} is not part of the system"),
-            AbcastError::ConsensusContract { round, detail } => {
-                write!(f, "consensus contract violated in round {round}: {detail}")
-            }
-            AbcastError::InvalidConfig(detail) => write!(f, "invalid configuration: {detail}"),
-            AbcastError::Timeout(what) => write!(f, "timed out waiting for {what}"),
-            AbcastError::Shutdown => write!(f, "runtime has shut down"),
         }
     }
 }
@@ -103,14 +65,10 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = AbcastError::ProcessDown(ProcessId::new(3));
+        let e = AbcastError::UnknownProcess(ProcessId::new(3));
         assert!(e.to_string().contains("p3"));
-        let e = AbcastError::consensus_contract(Round::new(7), "two decisions");
-        assert!(e.to_string().contains("round 7"));
-        assert!(e.to_string().contains("two decisions"));
-        let e = AbcastError::Timeout("decision".into());
-        assert!(e.to_string().contains("decision"));
-        assert!(AbcastError::Shutdown.to_string().contains("shut down"));
+        let e = AbcastError::storage("disk full");
+        assert!(e.to_string().contains("disk full"));
     }
 
     #[test]
@@ -133,10 +91,6 @@ mod tests {
         assert!(matches!(
             AbcastError::storage("oops"),
             AbcastError::Storage(m) if m == "oops"
-        ));
-        assert!(matches!(
-            AbcastError::invalid_config("zero period"),
-            AbcastError::InvalidConfig(m) if m == "zero period"
         ));
     }
 }

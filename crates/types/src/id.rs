@@ -109,22 +109,12 @@ impl ProcessSet {
         (0..self.n).map(ProcessId::new)
     }
 
-    /// Iterates over every process identity except `me`.
-    pub fn others(&self, me: ProcessId) -> impl Iterator<Item = ProcessId> + '_ {
-        self.iter().filter(move |p| *p != me)
-    }
-
     /// Size of a simple majority quorum (`⌊n/2⌋ + 1`).
     ///
     /// The crash-recovery consensus substrate assumes that a majority of
     /// processes are *good* (eventually remain permanently up, Section 3.3).
     pub fn majority(&self) -> usize {
         (self.n as usize / 2) + 1
-    }
-
-    /// Maximum number of bad processes tolerated by a majority quorum.
-    pub fn max_faulty(&self) -> usize {
-        self.len() - self.majority()
     }
 }
 
@@ -190,13 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn others_excludes_self() {
-        let set = ProcessSet::new(3);
-        let others: Vec<_> = set.others(ProcessId::new(1)).collect();
-        assert_eq!(others, vec![ProcessId::new(0), ProcessId::new(2)]);
-    }
-
-    #[test]
     fn majority_thresholds() {
         assert_eq!(ProcessSet::new(1).majority(), 1);
         assert_eq!(ProcessSet::new(2).majority(), 2);
@@ -204,15 +187,6 @@ mod tests {
         assert_eq!(ProcessSet::new(4).majority(), 3);
         assert_eq!(ProcessSet::new(5).majority(), 3);
         assert_eq!(ProcessSet::new(7).majority(), 4);
-    }
-
-    #[test]
-    fn max_faulty_complements_majority() {
-        for n in 1..=9 {
-            let set = ProcessSet::new(n);
-            assert_eq!(set.majority() + set.max_faulty(), n);
-            assert!(set.majority() > set.max_faulty());
-        }
     }
 
     #[test]

@@ -89,12 +89,6 @@ impl VectorClock {
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, u64)> + '_ {
         self.entries.iter().map(|(&p, &s)| (p, s))
     }
-
-    /// Total number of messages covered by this clock (each sender
-    /// contributes `highest + 1` messages, sequence numbers starting at 0).
-    pub fn covered_count(&self) -> u64 {
-        self.entries.values().map(|&s| s + 1).sum()
-    }
 }
 
 impl fmt::Display for VectorClock {
@@ -140,7 +134,6 @@ mod tests {
         assert!(vc.is_empty());
         assert_eq!(vc.len(), 0);
         assert!(!vc.contains(id(0, 0)));
-        assert_eq!(vc.covered_count(), 0);
     }
 
     #[test]
@@ -151,7 +144,6 @@ mod tests {
         assert!(vc.contains(id(1, 3)));
         assert!(!vc.contains(id(1, 4)));
         assert!(!vc.contains(id(2, 0)));
-        assert_eq!(vc.covered_count(), 4);
     }
 
     #[test]
