@@ -1,10 +1,11 @@
 //! E15 — Pipeline depth on real sockets: delivered throughput, delivery
 //! latency and durability cost vs N and W over a 2–5 ms delayed link.
 //!
-//! E12 shows the pipelining speedup in virtual time under the simulator's
-//! 2–5 ms link.  This experiment brings that link to loopback TCP via
-//! [`LinkPolicy::delayed`] (frames held on the poller's timer wheel) and
-//! re-measures the same bounded-batch workload (`max_batch = 4`) for
+//! `tests/protocol_costs.rs` pins the pipelining speedup in virtual time
+//! under the simulator's 2–5 ms link.  This experiment brings that link to
+//! loopback TCP via [`LinkPolicy::delayed`] (frames held on the poller's
+//! timer wheel) and measures the same bounded-batch workload
+//! (`max_batch = 4`) for
 //! `N ∈ {3, 5, 7, 9}` and `W ∈ {1, 4}`: delivered msgs/s, observed p50/p99
 //! A-broadcast → A-deliver latency and durability barriers per delivered
 //! message (summed `sync_ops` across every store).  The link delay, not
@@ -23,7 +24,8 @@ use abcast_types::{BatchingPolicy, ProtocolConfig};
 use crate::report::{fmt_f64, Table};
 use crate::workload::drive_socket_load;
 
-/// Messages proposed to one consensus instance (same as E12).
+/// Messages proposed to one consensus instance (as in the simulated
+/// pipelining test).
 const MAX_BATCH: usize = 4;
 /// Seed for every measured deployment.
 const SEED: u64 = 1501;
@@ -164,8 +166,8 @@ pub fn table_from_rows(rows: &[ClusterRow]) -> Table {
         ]);
     }
     table.note(
-        "every hop is delayed 2-5 ms via LinkPolicy (the simulator's E12 link), so \
-         these rows are the socket twin of the E12 W-scaling curve",
+        "every hop is delayed 2-5 ms via LinkPolicy (the simulated pipelining test's link), so \
+         these rows are the socket twin of the simulated W-scaling test",
     );
     table
 }

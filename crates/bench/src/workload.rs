@@ -1,106 +1,25 @@
 //! Shared workload drivers used by the experiments.
 //!
-//! [`drive_load`] submits a stream of broadcasts into a [`Cluster`], waits
-//! for cluster-wide delivery and reports throughput, latency and logging
-//! cost — the measurements that most experiments start from.
-//! [`drive_socket_load`] is its wall-clock twin for a [`TcpCluster`].
+//! [`run_load`] submits a stream of broadcasts into a fresh [`Cluster`],
+//! waits for cluster-wide delivery and reports the rounds and logging cost
+//! it took.  [`drive_socket_load`] is its wall-clock twin for a
+//! [`TcpCluster`].
 
 use std::collections::BTreeMap;
 
 use abcast_core::{Cluster, ClusterConfig, TcpCluster};
 use abcast_storage::StorageSnapshot;
-use abcast_types::{MsgId, ProcessId, SimDuration, SimTime};
+use abcast_types::{MsgId, ProcessId, SimDuration};
 
 /// Outcome of one load run.
 #[derive(Clone, Debug)]
 pub struct LoadResult {
     /// `true` if every process delivered every message before the deadline.
     pub all_delivered: bool,
-    /// Mean latency from A-broadcast to local A-delivery at the sender, in
-    /// milliseconds of virtual time (only over messages that were
-    /// delivered).
-    pub mean_latency_ms: f64,
-    /// Throughput in messages per virtual second (delivered messages over
-    /// the full run duration).
-    pub throughput_msgs_per_sec: f64,
     /// Ordering rounds completed at process 0.
     pub rounds: u64,
     /// Cluster-wide stable-storage activity during the run.
     pub storage: StorageSnapshot,
-}
-
-/// Submits `count` broadcasts of `payload_size` bytes, spaced `gap` apart,
-/// round-robin across all processes, then runs until every process delivers
-/// everything (or `deadline_after_load` of extra virtual time elapses).
-pub fn drive_load(
-    cluster: &mut Cluster,
-    count: usize,
-    payload_size: usize,
-    gap: SimDuration,
-    deadline_after_load: SimDuration,
-) -> LoadResult {
-    let storage_before = cluster.storage_totals();
-    let started = cluster.now();
-
-    let mut submit_times: BTreeMap<MsgId, SimTime> = BTreeMap::new();
-    let processes: Vec<ProcessId> = cluster.processes().iter().collect();
-    for i in 0..count {
-        let sender = processes[i % processes.len()];
-        if !cluster.sim().is_up(sender) {
-            cluster.run_for(gap);
-            continue;
-        }
-        let payload = vec![(i % 251) as u8; payload_size];
-        let at = cluster.now();
-        if let Some(id) = cluster.broadcast(sender, payload) {
-            submit_times.insert(id, at);
-        }
-        if !gap.is_zero() {
-            cluster.run_for(gap);
-        }
-    }
-
-    let deadline = cluster.now() + deadline_after_load;
-    let all_delivered = cluster.run_until_all_delivered(deadline);
-    let finished_at = cluster.now();
-
-    // Latency: measured at the original sender, using its delivery log.
-    let mut latencies_ms: Vec<f64> = Vec::new();
-    for p in cluster.processes().iter() {
-        if let Some(actor) = cluster.sim().actor(p) {
-            for (time, id) in actor.delivery_log() {
-                if let Some(submitted) = submit_times.get(id) {
-                    if id.sender == p {
-                        latencies_ms
-                            .push(time.duration_since(*submitted).as_micros() as f64 / 1000.0);
-                    }
-                }
-            }
-        }
-    }
-    // Summed in sorted order so the mean's rounding matches the baselines.
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let mean_latency_ms = if latencies_ms.is_empty() {
-        0.0
-    } else {
-        latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64
-    };
-
-    let elapsed = finished_at.duration_since(started).as_secs_f64().max(1e-9);
-    let delivered = submit_times.len();
-    let rounds = cluster
-        .sim()
-        .actor(ProcessId::new(0))
-        .map(|a| a.metrics().rounds_completed)
-        .unwrap_or(0);
-
-    LoadResult {
-        all_delivered,
-        mean_latency_ms,
-        throughput_msgs_per_sec: delivered as f64 / elapsed,
-        rounds,
-        storage: cluster.storage_totals().since(&storage_before),
-    }
 }
 
 /// Outcome of one load run over the socket transport (wall-clock time).
@@ -135,10 +54,11 @@ fn poll_first_seen(
     }
 }
 
-/// The wall-clock twin of [`drive_load`]: submits `count` broadcasts of
-/// `payload_size` bytes, spaced `gap` apart, round-robin across all
-/// processes of a socket-backed cluster, then waits until every process
-/// delivers everything (or `deadline_after_load` elapses).
+/// The wall-clock twin of [`run_load`], over an existing cluster: submits
+/// `count` broadcasts of `payload_size` bytes, spaced `gap` apart,
+/// round-robin across all processes of a socket-backed cluster, then waits
+/// until every process delivers everything (or `deadline_after_load`
+/// elapses).
 ///
 /// Latency is measured at process 0 by polling its delivery log every few
 /// hundred microseconds — good enough for loopback percentiles, and
@@ -222,8 +142,10 @@ pub fn drive_socket_load(
     }
 }
 
-/// Convenience: builds a cluster from `config` and immediately drives a
-/// load through it.
+/// Builds a cluster from `config`, submits `count` broadcasts of
+/// `payload_size` bytes, spaced `gap` apart, round-robin across all
+/// processes, then runs until every process delivers everything (or 60 s
+/// of extra virtual time elapse).
 pub fn run_load(
     config: ClusterConfig,
     count: usize,
@@ -231,13 +153,20 @@ pub fn run_load(
     gap: SimDuration,
 ) -> (Cluster, LoadResult) {
     let mut cluster = Cluster::new(config);
-    let result = drive_load(
-        &mut cluster,
-        count,
-        payload_size,
-        gap,
-        SimDuration::from_secs(60),
-    );
+    let storage_before = cluster.storage_totals();
+    cluster.broadcast_spread(count, payload_size, gap);
+    let deadline = cluster.now() + SimDuration::from_secs(60);
+    let all_delivered = cluster.run_until_all_delivered(deadline);
+    let rounds = cluster
+        .sim()
+        .actor(ProcessId::new(0))
+        .map(|a| a.metrics().rounds_completed)
+        .unwrap_or(0);
+    let result = LoadResult {
+        all_delivered,
+        rounds,
+        storage: cluster.storage_totals().since(&storage_before),
+    };
     (cluster, result)
 }
 
@@ -246,7 +175,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn drive_load_reports_consistent_numbers() {
+    fn run_load_reports_consistent_numbers() {
         let (cluster, result) = run_load(
             ClusterConfig::basic(3).with_seed(4),
             10,
@@ -254,8 +183,6 @@ mod tests {
             SimDuration::from_millis(5),
         );
         assert!(result.all_delivered, "load must be delivered");
-        assert!(result.mean_latency_ms > 0.0);
-        assert!(result.throughput_msgs_per_sec > 0.0);
         assert!(result.rounds >= 1);
         assert!(result.storage.write_ops() > 0);
         cluster.assert_properties();

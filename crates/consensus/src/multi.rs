@@ -178,28 +178,9 @@ impl<V: ConsensusValue> MultiConsensus<V> {
             .filter_map(|(k, i)| i.decision().map(|v| (*k, v)))
     }
 
-    /// The highest instance known locally to be decided.
-    pub fn highest_decided(&self) -> Option<Round> {
-        self.decisions().map(|(k, _)| k).max()
-    }
-
-    /// The highest instance this process has proposed to.
-    pub fn highest_proposed(&self) -> Option<Round> {
-        self.instances
-            .iter()
-            .filter(|(_, i)| i.has_proposal())
-            .map(|(k, _)| *k)
-            .max()
-    }
-
     /// Number of instances currently tracked (decided and undecided).
     pub fn instance_count(&self) -> usize {
         self.instances.len()
-    }
-
-    /// Current Ω output of the embedded failure detector.
-    pub fn leader(&self, me: ProcessId) -> ProcessId {
-        self.fd.leader(me)
     }
 
     /// Drops the bookkeeping of every *decided* instance strictly below
@@ -552,12 +533,17 @@ mod tests {
             );
         }
         assert_eq!(multi.instance_count(), 5);
-        assert_eq!(multi.highest_decided(), Some(Round::new(4)));
-        assert_eq!(multi.highest_proposed(), Some(Round::new(4)));
+        for k in 0..5u64 {
+            assert_eq!(multi.decision(Round::new(k)), Some(&k));
+            assert!(multi.has_proposed(Round::new(k)));
+        }
+        assert!(!multi.has_proposed(Round::new(5)));
         multi.forget_decided_below(Round::new(3), &ctx.storage_handle());
         assert_eq!(multi.instance_count(), 2);
         assert_eq!(multi.decision(Round::new(4)), Some(&4));
+        assert!(multi.has_proposed(Round::new(4)));
         assert_eq!(multi.decision(Round::new(1)), None);
+        assert!(!multi.has_proposed(Round::new(1)));
         assert_eq!(multi.forget_floor(), Round::new(3));
     }
 

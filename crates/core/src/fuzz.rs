@@ -44,8 +44,6 @@ use abcast_storage::{FaultyStorage, SharedStorage, StorageRegistry};
 use abcast_types::{MsgId, ProcessId, ProtocolConfig, SimDuration};
 
 use crate::harness::{Cluster, ClusterConfig, FramedAbcast};
-use crate::properties::check_all;
-use crate::queues::AgreedQueue;
 
 /// A seed's outcome together with the plan it executed (for reporting).
 #[derive(Clone, Debug)]
@@ -270,12 +268,8 @@ pub fn run_seed_detailed(seed: u64) -> FuzzRun {
                 })
                 .copied()
                 .collect();
-            let queues: Vec<&AgreedQueue> = processes
-                .iter()
-                .filter_map(|p| cluster.agreed(*p))
-                .collect();
-            let good: Vec<usize> = processes.iter().map(|p| p.index()).collect();
-            let vs = check_all(&queues, &good, &broadcast, &must_after)
+            let vs = cluster
+                .check_properties_against(&processes, &broadcast, &must_after)
                 .into_iter()
                 .map(|v| format!("after torn-WAL reopen: {v}"))
                 .collect();

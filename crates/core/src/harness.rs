@@ -16,7 +16,7 @@ use abcast_types::{
     AppMessage, MsgId, ProcessId, ProcessSet, ProtocolConfig, SimDuration, SimTime,
 };
 
-use crate::properties::{check_all, Violation};
+use crate::properties::{check_all, check_termination, Violation};
 use crate::protocol::AtomicBroadcast;
 use crate::queues::AgreedQueue;
 
@@ -302,14 +302,40 @@ impl Cluster {
         good: &[ProcessId],
         must_deliver: &BTreeSet<MsgId>,
     ) -> Vec<Violation> {
+        self.check_properties_against(good, &self.broadcast_ids, must_deliver)
+    }
+
+    /// [`Cluster::check_properties`] with an explicit set of broadcast
+    /// identities, for a harness rebuilt over storage that an earlier
+    /// deployment wrote (it saw none of those broadcasts itself).
+    ///
+    /// Safety is checked over every process that is up.  Termination is
+    /// checked per good process against its own queue, and a good process
+    /// that is down is itself a Termination violation: it delivers nothing.
+    pub(crate) fn check_properties_against(
+        &self,
+        good: &[ProcessId],
+        broadcast: &BTreeSet<MsgId>,
+        must_deliver: &BTreeSet<MsgId>,
+    ) -> Vec<Violation> {
         let queues: Vec<&AgreedQueue> = self
             .sim
             .processes()
             .iter()
-            .filter_map(|p| self.sim.actor(p).map(|a| a.inner().agreed()))
+            .filter_map(|p| self.agreed(p))
             .collect();
-        let good_indices: Vec<usize> = good.iter().map(|p| p.index()).collect();
-        check_all(&queues, &good_indices, &self.broadcast_ids, must_deliver)
+        let mut violations = check_all(&queues, &[], broadcast, must_deliver);
+        for &p in good {
+            let verdict = match self.agreed(p) {
+                Some(queue) => check_termination(&[(p.index(), queue)], must_deliver),
+                None => Err(Violation {
+                    property: "Termination",
+                    detail: format!("good process {} is down", p.index()),
+                }),
+            };
+            violations.extend(verdict.err());
+        }
+        violations
     }
 
     /// Asserts that all four properties hold; panics with the violations
@@ -528,6 +554,31 @@ mod tests {
         }
         assert_eq!(framed.decode_failures(), 0);
         framed.assert_properties();
+    }
+
+    #[test]
+    fn check_properties_checks_each_good_process_against_its_own_queue() {
+        // p2 is cut off, so only p0 and p1 deliver; then p1 crashes.  With
+        // p1 down, p2's queue is the second up queue, not the third: each
+        // good process must be judged by its own queue, found by id.
+        let mut cluster = Cluster::new(ClusterConfig::basic(3).with_seed(1));
+        for q in [p(0), p(1)] {
+            cluster.sim_mut().link_mut().cut_both(p(2), q);
+        }
+        let id = cluster.broadcast(p(0), b"cut".to_vec()).unwrap();
+        let deadline = cluster.now() + SimDuration::from_secs(5);
+        assert!(cluster.run_until_delivered(&[p(0), p(1)], &[id], deadline));
+        cluster.sim_mut().crash_now(p(1));
+        let must = BTreeSet::from([id]);
+
+        let violations = cluster.check_properties(&[p(0), p(2)], &must);
+        assert_eq!(violations.len(), 1, "{violations:#?}");
+        assert_eq!(violations[0].property, "Termination");
+        assert!(violations[0].detail.starts_with("good process 2 "), "{violations:#?}");
+
+        let violations = cluster.check_properties(&[p(0), p(1)], &must);
+        assert_eq!(violations.len(), 1, "{violations:#?}");
+        assert_eq!(violations[0].detail, "good process 1 is down");
     }
 
     #[test]

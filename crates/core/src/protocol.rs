@@ -136,8 +136,8 @@ pub struct ProtocolMetrics {
     /// buffer).  Stays at 1 when `pipeline_depth` is 1 and decisions
     /// arrive in round order; a peer's announcement for round `k + 1`
     /// overtaking the one for `k` parks in the buffer and counts, even in
-    /// a sequential run.  Experiment E12 reads it to confirm the pipeline
-    /// actually filled.
+    /// a sequential run.  The pipelining test in `tests/protocol_costs.rs`
+    /// reads it to confirm the pipeline actually filled.
     pub max_rounds_in_flight: u64,
     /// Stable-storage failures observed (failed step commits and failed
     /// recovery reads).  Each one fail-stops the process — it goes silent

@@ -48,7 +48,7 @@ pub struct StorageSnapshot {
     /// Number of durability barriers (fsync or its in-memory analogue).
     /// A standalone `store`/`append` counts one barrier; a committed
     /// [`crate::WriteBatch`] counts one barrier for all its operations — the
-    /// quantity experiment E11 (group commit) is about.
+    /// quantity group commit attacks, pinned by `tests/protocol_costs.rs`.
     pub sync_ops: u64,
     /// Number of [`crate::WriteBatch`] commits.
     pub batch_commits: u64,

@@ -1,7 +1,8 @@
 //! Workspace integration tests: what the protocol costs, counted in the
 //! simulator (rounds, stable-storage writes, virtual time, payload copies)
-//! — batching proposals (Section 5.4), the zero-copy payload path, and the
-//! exact counts of a fixed-seed run that pin the program's behaviour.
+//! — batching proposals (Section 5.4), group commit over WAL files,
+//! pipelined rounds, the zero-copy payload path, and the exact counts of a
+//! fixed-seed run that pin the program's behaviour.
 
 use crash_recovery_abcast::core::{Cluster, ClusterConfig};
 use crash_recovery_abcast::types::{copymeter, BatchingPolicy};
@@ -50,6 +51,87 @@ fn larger_batches_use_no_more_rounds_and_no_more_virtual_time() {
         batched_secs <= single_secs,
         "batch <= 256 took {batched_secs} s, batch <= 1 took {single_secs} s"
     );
+}
+
+#[test]
+fn wal_group_commit_write_and_sync_counts_match_their_recorded_values() {
+    // The simulator over real WAL files (group window 8), 120 messages 5 ms
+    // apart, counted from after construction.  Every protocol step is one
+    // record group, and one fsync covers a window of group commits.  A
+    // backend that synced every write would pay one barrier per write op,
+    // so write ops per barrier is the factor group commit saves.
+    let run = |variant: &str, protocol: ProtocolConfig| {
+        let dir = std::env::temp_dir()
+            .join(format!("abcast-it-group-commit-{variant}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = StorageRegistry::wal_in(&dir, 3, 8).expect("wal registry opens");
+        let config = ClusterConfig::basic(3).with_seed(1101).with_protocol(protocol);
+        let mut cluster = Cluster::with_registry(config, registry);
+        let before = cluster.storage_totals();
+        run_load(&mut cluster, 120, SimDuration::from_millis(5));
+        let storage = cluster.storage_totals().since(&before);
+        drop(cluster);
+        let _ = std::fs::remove_dir_all(&dir);
+        (storage.write_ops(), storage.sync_ops)
+    };
+    let counts = [
+        ("basic", ProtocolConfig::basic()),
+        ("alternative", ProtocolConfig::alternative()),
+    ]
+    .map(|(variant, protocol)| (variant, run(variant, protocol)));
+    for (variant, (write_ops, sync_ops)) in counts {
+        assert!(
+            write_ops >= 3 * sync_ops,
+            "{variant}: {write_ops} write ops under {sync_ops} fsyncs, fewer than 3 per barrier"
+        );
+    }
+    // Recorded when the gate was set; a change that moves either count
+    // changed how the protocol logs.
+    assert_eq!(counts, [("basic", (1349, 101)), ("alternative", (1490, 116))]);
+}
+
+#[test]
+fn pipelined_rounds_deliver_in_at_most_two_thirds_of_the_sequential_virtual_time() {
+    // Bounded batches (at most 4 messages a round) over a 2–5 ms link, so
+    // the sequential round loop, not batching, limits delivery.  W = 4
+    // keeps four consensus instances open; decided batches still apply in
+    // round order.
+    let run = |protocol: ProtocolConfig, depth: u64| {
+        let config = ClusterConfig::basic(3)
+            .with_seed(1201)
+            .with_link(
+                LinkConfig::lan()
+                    .with_delay(SimDuration::from_millis(2), SimDuration::from_millis(5)),
+            )
+            .with_protocol(
+                protocol
+                    .with_batching(BatchingPolicy::EarlyReturn { max_batch: 4 })
+                    .with_pipeline_depth(depth),
+            );
+        let mut cluster = Cluster::new(config);
+        let secs = run_load(&mut cluster, 24, SimDuration::from_micros(500));
+        let peak_in_flight = cluster
+            .processes()
+            .iter()
+            .filter_map(|p| cluster.sim().actor(p))
+            .map(|a| a.metrics().max_rounds_in_flight)
+            .max()
+            .expect("processes are up");
+        (secs, peak_in_flight)
+    };
+    for (variant, protocol) in [
+        ("basic", ProtocolConfig::basic()),
+        ("alternative", ProtocolConfig::alternative()),
+    ] {
+        let (sequential_secs, sequential_peak) = run(protocol.clone(), 1);
+        let (pipelined_secs, pipelined_peak) = run(protocol, 4);
+        assert!(
+            pipelined_secs * 1.5 <= sequential_secs,
+            "{variant}: W = 4 took {pipelined_secs} s, W = 1 took {sequential_secs} s"
+        );
+        assert_eq!(sequential_peak, 1, "{variant}: W = 1 never runs ahead");
+        assert!(pipelined_peak > 1, "{variant}: W = 4 must overlap rounds");
+    }
 }
 
 #[test]

@@ -1,12 +1,14 @@
 //! Workspace integration tests for the write-batching durability
 //! subsystem: the protocol stack running over the group-committed WAL
 //! backend, crash edges included, must preserve the four broadcast
-//! properties and the O(delta) checkpoint behaviour end to end.
+//! properties and the O(delta) checkpoint behaviour end to end, and the
+//! segmented WAL must keep barriers per message flat and the journal
+//! bounded as history grows.
 
 use crash_recovery_abcast::core::{Cluster, ClusterConfig};
-use crash_recovery_abcast::storage::{StableStorage, StorageKey};
+use crash_recovery_abcast::storage::{keys, StableStorage, StorageKey};
 use crash_recovery_abcast::{
-    ProcessId, ProtocolConfig, SimDuration, StorageRegistry, WalStorage,
+    ProcessId, ProtocolConfig, Round, SimDuration, StorageRegistry, WalStorage, WriteBatch,
 };
 
 fn p(i: u32) -> ProcessId {
@@ -573,4 +575,113 @@ fn checkpoint_writes_stay_o_delta_as_history_grows() {
         cluster.now() + SimDuration::from_secs(120)
     ));
     cluster.assert_properties();
+}
+
+/// Counts of one storage-level commit loop (see [`wal_commit_loop`]).
+#[derive(Debug)]
+struct WalRun {
+    sync_ops: u64,
+    rotations: u64,
+    compactions: u64,
+    disk_bytes: u64,
+}
+
+/// Commits `messages` protocol-step-shaped batches (an agreed-delta append,
+/// an unordered append, a round-slot store) to one WAL with a group window
+/// of 8.  Every 64 messages a checkpoint batch overwrites the snapshot slot,
+/// truncates both logs and calls `note_checkpoint`, as the protocol's
+/// checkpoint task does.  `segmented` uses 16 KiB segments and the lowest
+/// compaction threshold; otherwise the journal never rotates or compacts.
+/// Reopens the journal afterwards and checks it surfaces the last round.
+fn wal_commit_loop(segmented: bool, messages: usize) -> WalRun {
+    const CHECKPOINT_EVERY: usize = 64;
+    let base = temp_base(&format!("commit-loop-{segmented}-{messages}"));
+    std::fs::create_dir_all(&base).unwrap();
+    let path = base.join("journal.wal");
+    let (segment_bytes, compact_threshold) =
+        if segmented { (16 * 1024, 1) } else { (u64::MAX, u64::MAX) };
+    let storage = WalStorage::open(&path)
+        .unwrap()
+        .with_group_window(8)
+        .with_segment_bytes(segment_bytes)
+        .with_compact_threshold(compact_threshold);
+
+    let round_slot = StorageKey::new("abcast/k");
+    let payload = [0xE1_u8; 32];
+    for i in 0..messages {
+        let mut step = WriteBatch::new();
+        step.append(&keys::agreed_delta(), &payload);
+        step.append(&keys::unordered_incremental(), &payload);
+        step.store(&round_slot, &(i as u64).to_le_bytes());
+        storage.commit_batch(step).unwrap();
+        if (i + 1) % CHECKPOINT_EVERY == 0 {
+            let mut checkpoint = WriteBatch::new();
+            checkpoint.store(&keys::agreed_checkpoint(), &payload);
+            checkpoint.remove(&keys::agreed_delta());
+            checkpoint.remove(&keys::unordered_incremental());
+            storage.commit_batch(checkpoint).unwrap();
+            storage.note_checkpoint(Round::new(((i + 1) / CHECKPOINT_EVERY) as u64));
+        }
+    }
+    storage.quiesce().unwrap();
+    let run = WalRun {
+        sync_ops: storage.metrics().snapshot().sync_ops,
+        rotations: storage.rotations(),
+        compactions: storage.compactions(),
+        disk_bytes: storage.footprint_bytes(),
+    };
+    drop(storage);
+
+    let reopened = WalStorage::open(&path).expect("journal replays");
+    assert_eq!(
+        reopened.load(&round_slot).unwrap().unwrap(),
+        ((messages - 1) as u64).to_le_bytes(),
+        "reopen must surface the last committed round"
+    );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&base);
+    run
+}
+
+/// Segmentation at 10³ and 10⁴ messages against a journal that never
+/// rotates or compacts: rotation and compaction add a constant number of
+/// barriers per event, never a rewrite on the write path, and compaction
+/// keeps the footprint at the live state instead of the history.
+#[test]
+fn segmented_wal_keeps_fsyncs_per_message_flat_and_the_footprint_bounded() {
+    const SIZES: [usize; 2] = [1_000, 10_000];
+    let segmented = SIZES.map(|n| wal_commit_loop(true, n));
+    let monolithic = SIZES.map(|n| wal_commit_loop(false, n));
+
+    for (mode, runs) in [("segmented", &segmented), ("monolithic", &monolithic)] {
+        let [small, large] = [0, 1].map(|i| runs[i].sync_ops as f64 / SIZES[i] as f64);
+        assert!(
+            small.max(large) <= small.min(large) * 1.5,
+            "{mode}: fsyncs/msg must stay flat across sizes: {small} vs {large}"
+        );
+    }
+    for (seg, mono) in segmented.iter().zip(&monolithic) {
+        assert!(
+            seg.rotations > 0 && seg.compactions > 0,
+            "segmented must rotate and compact: {seg:?}"
+        );
+        // A seal pays at most two barriers (the pulled-forward fsync and the
+        // directory barrier) and a compaction pass three (the base's fsync,
+        // the rename's and the reap's directory barriers).
+        let extra = seg.sync_ops.saturating_sub(mono.sync_ops);
+        assert!(
+            extra <= 3 * (seg.rotations + seg.compactions),
+            "{extra} extra barriers: {seg:?} vs {mono:?}"
+        );
+    }
+    assert!(
+        segmented[1].disk_bytes <= 4 * segmented[0].disk_bytes,
+        "10x the messages must not mean 10x the journal: {segmented:?}"
+    );
+    assert!(
+        segmented[1].disk_bytes * 10 <= monolithic[1].disk_bytes,
+        "compaction must reclaim the history: {:?} vs {:?}",
+        segmented[1],
+        monolithic[1]
+    );
 }
