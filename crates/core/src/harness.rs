@@ -1,6 +1,6 @@
 //! Simulation harness for whole atomic broadcast deployments.
 //!
-//! Tests, benchmarks and the experiment binaries all need the same thing: a
+//! Tests, the benchmark and the examples all need exactly the same thing: a
 //! cluster of `n` processes running [`AtomicBroadcast`] under the
 //! deterministic simulator, with helpers to broadcast messages, inject
 //! faults, run until delivery and check the Section 2.2 properties.

@@ -15,11 +15,11 @@
 //! * [`AbcastMsg`] — gossip, state-transfer and wrapped consensus traffic;
 //! * [`properties`] — checkers for Validity, Integrity, Total Order and
 //!   Termination (Section 2.2);
-//! * [`Cluster`] — a simulation harness used by tests, benchmarks and the
-//!   experiment binaries;
+//! * [`Cluster`] — a simulation harness used by tests, the benchmark, and
+//!   the worked examples;
 //! * [`TcpCluster`] — the same harness surface over a real TCP socket
 //!   transport on loopback ([`abcast_net::tcp`]), used by the socket
-//!   experiments and the stream-fault test suite.
+//!   transport tests and the stream-fault suites.
 //!
 //! # Quick start
 //!

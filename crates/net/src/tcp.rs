@@ -100,8 +100,8 @@ const RECONNECT_MAX: Duration = Duration::from_millis(200);
 /// The default policy is a direct link (no added delay).  A delayed policy
 /// holds each frame for a uniformly random duration from the configured
 /// range, reproducing the simulator's `LinkConfig` delay band on real
-/// sockets — which is what lets experiment E15 re-create the simulator's
-/// latency-bound pipeline curve over TCP.
+/// sockets — which is what lets the pipelining test over sockets overlap
+/// rounds as the simulated test does too.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkPolicy {
     /// Added outbound delay: every frame waits `delay.0 ..= delay.1`

@@ -16,7 +16,7 @@
 //!   `Unordered` set, Section 5.5).
 //!
 //! Every implementation counts operations and bytes in a [`StorageMetrics`]
-//! so that experiments E1/E8 and the benchmark's `storage.*` rows can
+//! so that the trade-off tests and the benchmark `storage.*` rows can
 //! measure the logging cost of each protocol variant precisely.
 
 use std::fmt;
@@ -149,7 +149,7 @@ pub trait StableStorage: Send + Sync {
 
     /// Total number of bytes currently occupied by all records.
     ///
-    /// Used by experiment E8 (log growth with and without application-level
+    /// Read by the footprint test of §5.2 (log growth with and without app
     /// checkpoints).
     fn footprint_bytes(&self) -> u64;
 }

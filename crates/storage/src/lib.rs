@@ -22,7 +22,7 @@
 //! * [`TypedStorageExt`] — typed reads/writes through the binary codec;
 //! * [`keys`] — the documented key layout used by the protocol stack;
 //! * [`StorageMetrics`] — per-operation, per-byte and per-barrier
-//!   accounting, which the `exp` experiments and the benchmark's
+//!   accounting, which the paper-claim tests and the benchmark's
 //!   `storage.*` rows read;
 //! * [`IncrementalSetLogger`] / [`SnapshotDeltaPolicy`] — the incremental
 //!   logging of Section 5.5 for the `Unordered` set and the `(k, Agreed)`

@@ -6,7 +6,7 @@
 //! length-prefixed, little-endian codec: it is deterministic, versioned by
 //! construction (each record type owns its layout) and lets the storage
 //! substrate measure *exactly* how many bytes each log operation writes —
-//! which is what experiment E1 (minimal logging) measures.
+//! which is what the storage counts pinned in tests check.
 //!
 //! The API mirrors the usual `Encode`/`Decode` pair:
 //!

@@ -15,7 +15,9 @@
 //! never fires on its line as a violation in its own right.
 //!
 //! `loc` prints the tracked size: non-test, non-comment, non-blank Rust
-//! lines per crate and in total, over `crates/`, `src/` and `examples/`.
+//! lines per crate and in total, over `crates/`, `src/` and `examples/`,
+//! then the repository benchmark's `benchmark/src`, counted the same way
+//! but kept out of the total.
 
 use std::env;
 use std::path::PathBuf;
@@ -63,17 +65,19 @@ fn loc(args: &[String]) -> ExitCode {
     }
     let cwd = env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     let root = xtask::find_workspace_root(&cwd);
-    let counts = match xtask::count_loc(&root) {
+    let mut counts = match xtask::count_loc(&root) {
         Ok(counts) => counts,
         Err(err) => {
             eprintln!("xtask loc: failed to scan {}: {err}", root.display());
             return ExitCode::FAILURE;
         }
     };
+    let benchmark = counts.remove(xtask::BENCHMARK_ROW).unwrap_or(0);
     for (owner, lines) in &counts {
         println!("{owner:<12} {lines:>6}");
     }
     println!("{:<12} {:>6}", "total", counts.values().sum::<usize>());
+    println!("{:<12} {benchmark:>6}", xtask::BENCHMARK_ROW);
     ExitCode::SUCCESS
 }
 

@@ -173,7 +173,7 @@ fn rule_applies(rule: &str, scope: &FileScope, rel_path: &str) -> bool {
         // xtask opts into D2 as well: the linter's own reports must be
         // deterministically ordered.
         "D2" => DETERMINISTIC_CRATES.contains(&krate) || krate == "xtask",
-        "B1" => !matches!(krate, "storage" | "bench"),
+        "B1" => krate != "storage",
         "B2" => PROTOCOL_CRATES.contains(&krate),
         "Z1" => ZERO_COPY_CRATES.contains(&krate),
         "P1" => krate == "net" && (rel_path.ends_with("/tcp.rs") || rel_path.ends_with("/poll.rs")),

@@ -426,11 +426,10 @@ fn v1_accepts_a_twin_write_in_the_callee_closure() {
 // --- Scoping --------------------------------------------------------------
 
 #[test]
-fn shims_fixtures_and_benches_are_out_of_scope() {
+fn shims_and_fixtures_are_out_of_scope() {
     let bad = include_str!("fixtures/d1_bad.rs");
     assert_clean("shims/rand/src/lib.rs", bad);
     assert_clean("crates/xtask/tests/fixtures/d1_bad.rs", bad);
-    assert_clean("crates/bench/src/fixture.rs", bad);
     // Test-like files only answer to S1.
     assert_clean("tests/fixture.rs", bad);
     assert_clean("examples/fixture.rs", bad);

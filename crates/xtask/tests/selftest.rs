@@ -47,6 +47,15 @@ fn loc_counts_code_lines_outside_comments_and_test_modules() {
 }
 
 #[test]
+fn loc_reports_the_benchmark_row() {
+    let counts = xtask::count_loc(&workspace_root()).expect("workspace scan");
+    assert!(
+        counts.get(xtask::BENCHMARK_ROW).is_some_and(|&lines| lines > 0),
+        "benchmark/src must be counted: {counts:?}"
+    );
+}
+
+#[test]
 fn the_sweep_actually_scans_the_linter() {
     // Guard against the exclusion list silently eating crates/xtask/src:
     // the fixture exclusion must not be wider than intended.

@@ -1,10 +1,12 @@
 //! Workspace integration tests: what the protocol costs, counted in the
 //! simulator (rounds, stable-storage writes, virtual time, payload copies)
-//! — batching proposals (Section 5.4), group commit over WAL files,
-//! pipelined rounds, the zero-copy payload path, and the exact counts of a
-//! fixed-seed run that pin the program's behaviour.
+//! — the basic variant's minimal logging (Section 4.3), batching proposals
+//! (Section 5.4), group commit over WAL files, pipelined rounds, the
+//! zero-copy payload path, and the exact counts of a fixed-seed run that
+//! pin the program's behaviour.
 
 use crash_recovery_abcast::core::{Cluster, ClusterConfig};
+use crash_recovery_abcast::storage::{keys, StorageKey};
 use crash_recovery_abcast::types::{copymeter, BatchingPolicy};
 use crash_recovery_abcast::{LinkConfig, ProcessId, ProtocolConfig, SimDuration, StorageRegistry};
 
@@ -22,6 +24,65 @@ fn run_load(cluster: &mut Cluster, messages: usize, gap: SimDuration) -> f64 {
     assert!(cluster.run_until_all_delivered(deadline), "load must complete");
     cluster.assert_properties();
     cluster.now().duration_since(started).as_secs_f64()
+}
+
+#[test]
+fn basic_variant_logs_nothing_beyond_consensus() {
+    // Section 4.3: "Atomic Broadcast can be implemented without requiring
+    // any additional log operations in excess of those required by the
+    // Consensus."  200 messages of 32 bytes, round-robin 5 ms apart, at
+    // N = 3, 5 and 7: the basic variant's stores hold consensus records
+    // plus the two start-of-incarnation epochs and nothing else, while the
+    // alternative pays extra writes for `Unordered` and `(k, Agreed)`.
+    let run = |n: usize, protocol: ProtocolConfig| {
+        let config = ClusterConfig::basic(n).with_seed(101).with_protocol(protocol);
+        let mut cluster = Cluster::new(config);
+        let before = cluster.storage_totals();
+        run_load(&mut cluster, 200, SimDuration::from_millis(5));
+        let write_ops = cluster.storage_totals().since(&before).write_ops();
+        let rounds = cluster
+            .sim()
+            .actor(ProcessId::new(0))
+            .expect("p0 is up")
+            .metrics()
+            .rounds_completed;
+        (cluster, write_ops, rounds)
+    };
+    let consensus_or_epoch = |key: &StorageKey| {
+        let per_round = keys::parse_consensus_instance(key).map(|k| {
+            [
+                keys::consensus_proposal(k),
+                keys::consensus_promised(k),
+                keys::consensus_accepted(k),
+                keys::consensus_decided(k),
+            ]
+        });
+        per_round.is_some_and(|records| records.contains(key))
+            || *key == keys::broadcast_epoch()
+            || *key == keys::fd_epoch()
+    };
+    let mut counts = Vec::new();
+    for n in [3, 5, 7] {
+        let (basic, basic_ops, basic_rounds) = run(n, ProtocolConfig::basic());
+        for (p, store) in basic.sim().storage().iter() {
+            for key in store.keys().expect("keys list") {
+                assert!(
+                    consensus_or_epoch(&key),
+                    "N = {n}: basic variant logged `{key}` at {p}, beyond consensus"
+                );
+            }
+        }
+        let (_, alternative_ops, alternative_rounds) = run(n, ProtocolConfig::alternative());
+        assert_eq!(basic_rounds, alternative_rounds, "N = {n}: same load, same rounds");
+        counts.push((n, basic_ops, alternative_ops, basic_rounds));
+    }
+    // (N, basic write ops, alternative write ops, rounds), recorded when
+    // the test was set; a change that moves any of them changed what the
+    // protocol logs or how it batches.
+    assert_eq!(
+        counts,
+        [(3, 2255, 2492, 140), (5, 3285, 3550, 127), (7, 4298, 4578, 121)]
+    );
 }
 
 #[test]

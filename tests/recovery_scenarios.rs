@@ -1,13 +1,14 @@
 //! Workspace integration tests: crash-recovery behaviour end to end —
-//! replay-based recovery, checkpoint-based recovery, state transfer,
-//! whole-deployment restarts and WAL-backed storage.
+//! replay-based recovery, checkpoint-based recovery (with the replay it
+//! saves pinned, Section 5.1), state transfer (with the rounds it skips
+//! pinned, Section 5.3) and whole-deployment restarts.
 
 use crash_recovery_abcast::core::{Cluster, ClusterConfig};
-use crash_recovery_abcast::storage::{SharedStorage, TypedStorageExt};
-use crash_recovery_abcast::types::BatchingPolicy;
+use crash_recovery_abcast::storage::SharedStorage;
+use crash_recovery_abcast::types::{BatchingPolicy, RecoveryPolicy};
 use crash_recovery_abcast::{
     ConsensusConfig, KvCommand, KvStore, LinkConfig, ProcessId, ProtocolConfig, Replica,
-    SimConfig, SimDuration, SimTime, Simulation, StorageRegistry, WalStorage,
+    SimConfig, SimDuration, SimTime, Simulation, StorageRegistry,
 };
 
 fn p(i: u32) -> ProcessId {
@@ -46,29 +47,46 @@ fn recovering_process_replays_and_rejoins_ordering_basic_protocol() {
     assert_eq!(cluster.sim().process_stats(p(2)).recoveries, 1);
 }
 
-#[test]
-fn long_outage_uses_state_transfer_and_skips_rounds() {
-    let protocol = ProtocolConfig::alternative().with_delta(4);
-    let mut cluster = Cluster::new(ClusterConfig::alternative(3).with_seed(32).with_protocol(protocol));
+/// Keeps p2 down while `missed` messages (`payload_len` bytes each, 8 ms
+/// apart) are delivered by p0 and p1, then recovers it and runs until it
+/// has caught up.  Returns the cluster and the virtual µs the catch-up took.
+fn catch_up_after_outage(
+    config: ClusterConfig,
+    missed: usize,
+    payload_len: usize,
+) -> (Cluster, u64) {
+    let mut cluster = Cluster::new(config);
     cluster.sim_mut().crash_now(p(2));
-
     let mut ids = Vec::new();
-    for i in 0..40 {
-        ids.extend(cluster.broadcast(p(i % 2), vec![i as u8; 8]));
+    for i in 0..missed {
+        ids.extend(cluster.broadcast(p(i as u32 % 2), vec![i as u8; payload_len]));
         cluster.run_for(SimDuration::from_millis(8));
     }
     let survivors = [p(0), p(1)];
-    assert!(cluster.run_until_delivered(&survivors, &ids, cluster.now() + SimDuration::from_secs(60)));
+    assert!(cluster.run_until_delivered(&survivors, &ids, cluster.now() + SimDuration::from_secs(120)));
 
     cluster.sim_mut().recover_now(p(2));
+    let recovered_at = cluster.now();
     assert!(
-        cluster.run_until_delivered(&[p(2)], &ids, cluster.now() + SimDuration::from_secs(120)),
+        cluster.run_until_delivered(&[p(2)], &ids, recovered_at + SimDuration::from_secs(300)),
         "lagging process must catch up"
+    );
+    let catch_up_us = cluster.now().duration_since(recovered_at).as_micros();
+    cluster.assert_properties();
+    (cluster, catch_up_us)
+}
+
+#[test]
+fn long_outage_uses_state_transfer_and_skips_rounds() {
+    let protocol = ProtocolConfig::alternative().with_delta(4);
+    let (cluster, _) = catch_up_after_outage(
+        ClusterConfig::alternative(3).with_seed(32).with_protocol(protocol),
+        40,
+        8,
     );
     let metrics = cluster.sim().actor(p(2)).unwrap().metrics().clone();
     assert!(metrics.state_transfers_applied >= 1, "state transfer must be used");
     assert!(metrics.skipped_rounds > 0, "rounds must be skipped");
-    cluster.assert_properties();
 
     // And the senders did serve at least one state message.
     let served: u64 = [p(0), p(1)]
@@ -76,6 +94,85 @@ fn long_outage_uses_state_transfer_and_skips_rounds() {
         .map(|q| cluster.sim().actor(*q).unwrap().metrics().state_transfers_sent)
         .sum();
     assert!(served >= 1);
+
+    // Section 5.3: a process that missed many rounds catches up in about
+    // the same time however many it missed, by installing a peer's
+    // `(k, Agreed)` instead of re-running each consensus.  One message a
+    // round, p2 down for 30 and then 300 rounds; replay-only catch-up
+    // grows with the outage, Δ = 4 catch-up does not.
+    let run = |protocol: ProtocolConfig, missed: usize| {
+        let protocol = protocol.with_batching(BatchingPolicy::WaitForAgreed);
+        let config = ClusterConfig::basic(3).with_seed(303).with_protocol(protocol);
+        let (cluster, catch_up_us) = catch_up_after_outage(config, missed, 16);
+        let metrics = cluster.sim().actor(p(2)).unwrap().metrics().clone();
+        (catch_up_us, metrics.skipped_rounds, metrics.state_transfers_applied)
+    };
+    let replay_only = ProtocolConfig {
+        recovery: RecoveryPolicy::ReplayConsensus,
+        ..ProtocolConfig::alternative()
+    };
+    let transfer = ProtocolConfig::alternative().with_delta(4);
+    let cells = [30, 300].map(|missed| {
+        (missed, run(replay_only.clone(), missed), run(transfer.clone(), missed))
+    });
+    // (rounds missed, (catch-up µs, rounds skipped, state transfers)) for
+    // replay only, then Δ = 4; recorded when the test was set.
+    assert_eq!(
+        cells,
+        [
+            (30, (62_843, 0, 0), (21_236, 27, 1)),
+            (300, (484_373, 0, 0), (22_412, 270, 1)),
+        ]
+    );
+}
+
+/// Section 5.1: a recovering process replays only the rounds decided since
+/// its last `(k, Agreed)` checkpoint.  One message a round, p2 crashed and
+/// recovered after 50 and then 200 rounds: without checkpoints the replay
+/// and the bytes read back grow with the history; with a checkpoint every
+/// 50 ms both stay flat.
+#[test]
+fn agreed_checkpoints_bound_the_replay_on_recovery() {
+    let run = |protocol: ProtocolConfig, rounds: usize| {
+        let protocol = protocol.with_batching(BatchingPolicy::WaitForAgreed);
+        let mut cluster =
+            Cluster::new(ClusterConfig::basic(3).with_seed(202).with_protocol(protocol));
+        let mut ids = Vec::new();
+        for i in 0..rounds {
+            ids.extend(cluster.broadcast(p(i as u32 % 2), vec![i as u8; 16]));
+            cluster.run_for(SimDuration::from_millis(8));
+        }
+        let everyone: Vec<ProcessId> = cluster.processes().iter().collect();
+        assert!(cluster.run_until_delivered(&everyone, &ids, cluster.now() + SimDuration::from_secs(120)));
+
+        let checkpoints = cluster.sim().actor(p(2)).unwrap().metrics().agreed_checkpoints_logged;
+        let before = cluster.storage_of(p(2));
+        cluster.sim_mut().crash_now(p(2));
+        cluster.sim_mut().recover_now(p(2));
+        assert!(
+            cluster.run_until_delivered(&[p(2)], &ids, cluster.now() + SimDuration::from_secs(120)),
+            "recovered process must catch up"
+        );
+        cluster.assert_properties();
+        let bytes_read = cluster.storage_of(p(2)).since(&before).bytes_read;
+        let replayed = cluster.sim().actor(p(2)).unwrap().metrics().replayed_rounds_on_recovery;
+        (replayed, bytes_read, checkpoints)
+    };
+    let every_50_ms =
+        ProtocolConfig::alternative().with_checkpoint_period(SimDuration::from_millis(50));
+    let cells = [50, 200].map(|rounds| {
+        (rounds, run(ProtocolConfig::basic(), rounds), run(every_50_ms.clone(), rounds))
+    });
+    // (rounds before the crash, (rounds replayed, bytes read on recovery,
+    // checkpoints logged before the crash)) for basic, then checkpoints
+    // every 50 ms; recorded when the test was set.
+    assert_eq!(
+        cells,
+        [
+            (50, (45, 6_732, 0), (1, 2_740, 8)),
+            (200, (180, 27_052, 0), (1, 2_740, 32)),
+        ]
+    );
 }
 
 /// Pipelined recovery: a process crashes with several rounds in flight at
@@ -286,34 +383,6 @@ fn repeated_crashes_of_the_same_process_never_violate_safety() {
     assert!(cluster.run_until_delivered(&everyone, &ids, cluster.now() + SimDuration::from_secs(120)));
     cluster.assert_properties();
     assert_eq!(cluster.sim().process_stats(p(2)).crashes, 5);
-}
-
-#[test]
-fn file_backed_storage_round_trips_protocol_records() {
-    // The protocol's typed records survive a close and reopen of the WAL
-    // backend: the reopened store replays the journal and reads them back.
-    let dir = std::env::temp_dir().join(format!("abcast-it-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let path = dir.join("p.wal");
-    {
-        let storage = WalStorage::open(&path).unwrap();
-        storage
-            .store_value(
-                &crash_recovery_abcast::storage::keys::consensus_proposal(
-                    crash_recovery_abcast::Round::new(3),
-                ),
-                &vec![1u64, 2, 3],
-            )
-            .unwrap();
-    }
-    let storage = WalStorage::open(&path).unwrap();
-    let value: Option<Vec<u64>> = storage
-        .load_value(&crash_recovery_abcast::storage::keys::consensus_proposal(
-            crash_recovery_abcast::Round::new(3),
-        ))
-        .unwrap();
-    assert_eq!(value, Some(vec![1, 2, 3]));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -5,6 +5,9 @@
 //! across connection kills, and a frame torn by a connection reset must
 //! never desynchronize the reconnected stream.
 //!
+//! Pipelined rounds (`W = 4`) are exercised over a delayed socket link as
+//! well, free-running rather than in lock step, and checked by counts.
+//!
 //! Determinism discipline: both runs drive the *same seeded workload in
 //! lock step* (broadcast one message, wait until every process delivered
 //! it, fire one explicit checkpoint tick per process, repeat).  The
@@ -16,10 +19,11 @@
 use std::time::Duration;
 
 use crash_recovery_abcast::core::{Cluster, ClusterConfig, TcpCluster};
-use crash_recovery_abcast::net::tcp::TcpConfig;
+use crash_recovery_abcast::net::tcp::{LinkPolicy, TcpConfig};
 use bytes::Bytes;
 use crash_recovery_abcast::core::AgreedQueue;
 use crash_recovery_abcast::storage::{keys, StorageRegistry};
+use crash_recovery_abcast::types::BatchingPolicy;
 use crash_recovery_abcast::{MsgId, ProcessId, ProtocolConfig, SimDuration};
 
 fn p(i: u32) -> ProcessId {
@@ -358,4 +362,60 @@ fn socket_cluster_survives_connection_kills_and_process_recovery() {
     }
     assert_eq!(cluster.decode_failures(), 0);
     cluster.shutdown();
+}
+
+/// Pipelined rounds over real sockets: the simulated pipelining test's
+/// workload (24 messages 0.5 ms apart, batches of at most 4) on a
+/// loopback cluster whose every hop is held 2–5 ms.  At `W = 1` no process
+/// ever has two rounds open; at `W = 4` some process overlaps rounds, and
+/// every process still delivers the same order from clean frames.
+#[test]
+fn pipelined_rounds_overlap_over_a_delayed_socket_link() {
+    let run = |depth: u64| {
+        let protocol = ProtocolConfig::basic()
+            .with_batching(BatchingPolicy::EarlyReturn { max_batch: 4 })
+            .with_pipeline_depth(depth);
+        let tcp = TcpConfig::default()
+            .with_seed(1501)
+            .with_link(LinkPolicy::delayed(Duration::from_millis(2), Duration::from_millis(5)));
+        let mut cluster = TcpCluster::with_registry_and_tcp(
+            ClusterConfig::basic(3).with_seed(1501).with_protocol(protocol),
+            StorageRegistry::in_memory(3),
+            tcp,
+        )
+        .expect("loopback cluster must start");
+        for i in 0..24 {
+            cluster.broadcast(p(i % 3), vec![i as u8; 32]).expect("sender is up");
+            std::thread::sleep(Duration::from_micros(500));
+        }
+        assert!(
+            cluster.run_until_all_delivered(Duration::from_secs(60)),
+            "W = {depth}: every process must deliver the load"
+        );
+        let orders: Vec<Vec<MsgId>> = [p(0), p(1), p(2)]
+            .iter()
+            .map(|q| cluster.delivery_log_ids(*q).expect("process is up"))
+            .collect();
+        assert_eq!(orders[0].len(), 24, "W = {depth}: one delivery per message");
+        assert!(
+            orders.iter().all(|order| *order == orders[0]),
+            "W = {depth}: delivery orders differ: {orders:?}"
+        );
+        assert_eq!(cluster.decode_failures(), 0, "W = {depth}: healthy frames never fail to decode");
+        let peak_in_flight = [p(0), p(1), p(2)]
+            .iter()
+            .map(|q| {
+                cluster
+                    .runtime()
+                    .inspect(*q, |a| a.inner().metrics().max_rounds_in_flight)
+                    .expect("process is up")
+            })
+            .max()
+            .expect("three processes");
+        cluster.shutdown();
+        peak_in_flight
+    };
+    assert_eq!(run(1), 1, "W = 1 never runs ahead");
+    let pipelined = run(4);
+    assert!(pipelined > 1, "W = 4 must overlap rounds, peaked at {pipelined}");
 }

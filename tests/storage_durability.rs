@@ -1,9 +1,10 @@
 //! Workspace integration tests for the write-batching durability
 //! subsystem: the protocol stack running over the group-committed WAL
 //! backend, crash edges included, must preserve the four broadcast
-//! properties and the O(delta) checkpoint behaviour end to end, and the
-//! segmented WAL must keep barriers per message flat and the journal
-//! bounded as history grows.
+//! properties and the O(delta) checkpoint behaviour end to end,
+//! application checkpoints must bound the stable-storage footprint
+//! (Section 5.2), and the segmented WAL must keep barriers per message
+//! flat and the journal bounded as history grows.
 
 use crash_recovery_abcast::core::{Cluster, ClusterConfig};
 use crash_recovery_abcast::storage::{keys, StableStorage, StorageKey};
@@ -575,6 +576,73 @@ fn checkpoint_writes_stay_o_delta_as_history_grows() {
         cluster.now() + SimDuration::from_secs(120)
     ));
     cluster.assert_properties();
+}
+
+/// Section 5.2: "the size of the logs grows indefinitely" unless "a
+/// checkpoint of the application state can substitute the associated prefix
+/// of the delivered message log".  80 and then 600 messages of 48 bytes,
+/// round-robin 4 ms apart, `(k, Agreed)` checkpoints every 100 ms: without
+/// application checkpoints the cluster's footprint grows with the history;
+/// with them it stays bounded by the working set.
+#[test]
+fn application_checkpoints_bound_the_storage_footprint() {
+    /// Final and peak (sampled every eighth message) cluster-wide storage
+    /// footprint in bytes, and the application checkpoints p0 took.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Footprint {
+        final_bytes: u64,
+        max_bytes: u64,
+        app_checkpoints: u64,
+    }
+    let run = |application_checkpoints: bool, messages: usize| {
+        let protocol = ProtocolConfig::alternative()
+            .with_application_checkpoints(application_checkpoints)
+            .with_checkpoint_period(SimDuration::from_millis(100));
+        let mut cluster =
+            Cluster::new(ClusterConfig::basic(3).with_seed(808).with_protocol(protocol));
+        let mut max_bytes = 0;
+        let mut ids = Vec::new();
+        for i in 0..messages {
+            ids.extend(cluster.broadcast(p(i as u32 % 3), vec![i as u8; 48]));
+            cluster.run_for(SimDuration::from_millis(4));
+            if i % (messages / 8) == 0 {
+                max_bytes = max_bytes.max(cluster.sim().storage().total_footprint_bytes());
+            }
+        }
+        let everyone: Vec<ProcessId> = cluster.processes().iter().collect();
+        assert!(cluster.run_until_delivered(&everyone, &ids, cluster.now() + SimDuration::from_secs(60)));
+        // Let a last checkpoint pass truncate what it can.
+        cluster.run_for(SimDuration::from_millis(400));
+        cluster.assert_properties();
+        let final_bytes = cluster.sim().storage().total_footprint_bytes();
+        Footprint {
+            final_bytes,
+            max_bytes: max_bytes.max(final_bytes),
+            app_checkpoints: cluster.sim().actor(p(0)).unwrap().metrics().app_checkpoints_taken,
+        }
+    };
+    let [(short_without, short_with), (long_without, long_with)] =
+        [80, 600].map(|messages| (run(false, messages), run(true, messages)));
+    assert!(
+        long_without.final_bytes >= 7 * short_without.final_bytes,
+        "without application checkpoints 7.5x the history must keep about 7.5x the bytes: \
+         {short_without:?} then {long_without:?}"
+    );
+    assert!(
+        long_with.max_bytes <= short_with.max_bytes,
+        "with application checkpoints the footprint must not grow with the history: \
+         {short_with:?} then {long_with:?}"
+    );
+    // Recorded when the test was set.
+    let pinned = |final_bytes, max_bytes, app_checkpoints| Footprint {
+        final_bytes,
+        max_bytes,
+        app_checkpoints,
+    };
+    assert_eq!(short_without, pinned(84_136, 84_136, 0), "80 messages, no app checkpoints");
+    assert_eq!(short_with, pinned(20_888, 42_220, 4), "80 messages, app checkpoints");
+    assert_eq!(long_without, pinned(629_520, 629_520, 0), "600 messages, no app checkpoints");
+    assert_eq!(long_with, pinned(15_468, 22_688, 25), "600 messages, app checkpoints");
 }
 
 /// Counts of one storage-level commit loop (see [`wal_commit_loop`]).
