@@ -60,10 +60,10 @@ pub struct ConsensusInstance<V> {
     instance: Round,
 
     // --- state mirrored on stable storage ---
-    proposal: Option<V>,          // xanalyze:twin(consensus_proposal)
-    promised: Option<Ballot>,     // xanalyze:twin(consensus_promised)
-    accepted: Option<(Ballot, V)>, // xanalyze:twin(consensus_accepted)
-    decision: Option<V>,          // xanalyze:twin(consensus_decided)
+    proposal: Option<V>,
+    promised: Option<Ballot>,
+    accepted: Option<(Ballot, V)>,
+    decision: Option<V>,
 
     // --- volatile leader-side state ---
     phase: Phase,
@@ -319,7 +319,7 @@ impl<V: ConsensusValue> ConsensusInstance<V> {
             batch.store_value(&keys::consensus_accepted(self.instance), accepted);
         }
         if !batch.is_empty() {
-            let _ = ctx.storage().commit_batch(batch); // xlint:allow(B2) — staged view: this merges into the enclosing scope's batch, whose StepContext::finish pays the one barrier (per step in the simulator, per worker group on sockets)
+            let _ = ctx.storage().commit_batch(batch);
         }
     }
 

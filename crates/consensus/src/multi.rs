@@ -57,7 +57,7 @@ pub struct MultiConsensus<V> {
     /// neither the proposal nor the decision, so it would accumulate
     /// forever (unbounded memory) and its `Query`/ballot traffic would
     /// re-run consensus for a round whose outcome is already fixed.
-    forget_floor: Round, // xanalyze:twin(consensus_floor)
+    forget_floor: Round,
 }
 
 impl<V: ConsensusValue> MultiConsensus<V> {

@@ -516,7 +516,7 @@ impl AtomicBroadcast {
             let mut batch = WriteBatch::new();
             batch.store_value(&keys::agreed_checkpoint(), &snapshot);
             batch.remove(&keys::agreed_delta());
-            let _ = ctx.storage().commit_batch(batch); // xlint:allow(B2) — staged view: this merges into the enclosing scope's batch, whose StepContext::finish pays the one barrier (per step in the simulator, per worker group on sockets)
+            let _ = ctx.storage().commit_batch(batch);
             self.agreed_policy.note_snapshot(total);
             self.metrics.agreed_snapshots_logged += 1;
         } else {

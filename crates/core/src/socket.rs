@@ -22,7 +22,7 @@
 
 use std::collections::BTreeSet;
 use std::io;
-use std::time::{Duration, Instant}; // xlint:allow(D1) — harness side of the socket deployment: wall-clock deadlines for real threads, not protocol time
+use std::time::{Duration, Instant};
 
 use abcast_net::tcp::{TcpConfig, TcpRuntime};
 use abcast_storage::{SharedStorage, StorageRegistry};
@@ -134,10 +134,10 @@ impl TcpCluster {
         ids: &[MsgId],
         timeout: Duration,
     ) -> bool {
-        let deadline = Instant::now() + timeout; // xlint:allow(D1) — wall-clock deadline against real worker threads
+        let deadline = Instant::now() + timeout;
         who.iter().all(|&p| {
             let ids = ids.to_vec(); // xlint:allow(Z1) — a handful of Copy ids moved into the probe, not payload bytes
-            let left = deadline.saturating_duration_since(Instant::now()); // xlint:allow(D1) — wall-clock deadline against real worker threads
+            let left = deadline.saturating_duration_since(Instant::now());
             self.runtime
                 .wait_for(p, left, move |a| ids.iter().all(|id| a.is_delivered(*id)).then_some(()))
                 .is_some()

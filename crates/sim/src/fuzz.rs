@@ -24,7 +24,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-use std::time::Instant; // xlint:allow(D1) — wall-clock campaign budget only; per-seed behaviour derives from the seed
+use std::time::Instant;
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -505,7 +505,7 @@ pub fn run_campaign(
     config: &CampaignConfig,
     run_one: impl Fn(u64) -> SeedOutcome + Send + Sync,
 ) -> CampaignReport {
-    let started = Instant::now(); // xlint:allow(D1) — wall-clock campaign budget; seeds themselves are deterministic
+    let started = Instant::now();
     let next = AtomicU64::new(0);
     let outcomes: Mutex<Vec<SeedOutcome>> = Mutex::new(Vec::new());
     let workers = config.workers.max(1);

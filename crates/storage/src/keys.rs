@@ -19,9 +19,9 @@
 //! | `consensus/floor` | slot | GC task: durable forget watermark (Figure 4, line *c*) | §5.3 |
 //! | `fd/epoch` | slot | failure detector start: the incarnation number its heartbeats carry | §3.5 |
 //!
-//! `cargo xtask analyze` (rule K1) checks this table against the
-//! constructors below — a row without a constructor, or a constructor
-//! without a row, is a finding.
+//! The table is documentation only.  Tests, not a lint, catch a record
+//! that stops being written: `tests/protocol_costs.rs` pins the stored
+//! key set and the exact write counts.
 
 use abcast_types::Round;
 

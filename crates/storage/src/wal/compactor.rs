@@ -63,7 +63,7 @@ pub(crate) struct CompactorFlags {
 pub(crate) fn request(shared: &Arc<WalShared>) {
     // Flag the request under the lock; spawn outside it.  The new worker's
     // first act is locking these same flags, so spawning under the hold
-    // would stall it on arrival (and trip the lock-order analyzer).
+    // would stall it on arrival.
     let spawn_worker = {
         let mut flags = shared.comp.lock();
         if flags.shutdown {

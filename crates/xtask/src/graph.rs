@@ -6,11 +6,8 @@
 //! `map`, the `StableStorage` verbs …) that would connect everything to
 //! everything, and a fan-out cap that drops a name resolving to more
 //! candidates than any genuine call target set in this workspace.  Both
-//! guards make the graph *sparser* than reality, so the rules built on it
-//! (recovery-path reachability for K1, write-path search for V1, held-lock
-//! call edges for L1) degrade towards silence rather than noise — except
-//! where a rule treats reachability as an exemption, which is why the
-//! recovery roots below are matched by name, not by edges alone.
+//! guards make the graph *sparser* than reality, so L1's held-lock call
+//! edges degrade towards silence rather than noise.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,9 +18,8 @@ pub type FnNode = (usize, usize);
 
 /// Names never resolved to call edges: prelude/collection vocabulary plus
 /// the `StableStorage`/`WriteBatch` verbs, whose dozens of impls would
-/// fuse the whole workspace into one component.  Key *use sites* are
-/// classified lexically in `analyze.rs`, so dropping the verbs here loses
-/// nothing the rules need.
+/// fuse the whole workspace into one component.
+#[rustfmt::skip]
 const CALL_STOPLIST: [&str; 76] = [
     "keys", "values",
     "new", "default", "clone", "len", "is_empty", "iter", "iter_mut", "into_iter", "next", "get",
@@ -39,12 +35,6 @@ const CALL_STOPLIST: [&str; 76] = [
 /// Names above this many candidates are too ambiguous to mean one thing.
 const FAN_OUT_CAP: usize = 8;
 
-/// `true` for functions that anchor a recovery path: the `on_start`
-/// lifecycle hook and the `recover*`/`*replay*` helpers it drives.
-pub fn is_recovery_name(name: &str) -> bool {
-    name == "on_start" || name.starts_with("recover") || name.contains("replay")
-}
-
 /// The modelled workspace plus its call graph.
 pub struct Workspace {
     pub files: Vec<FileModel>,
@@ -52,8 +42,6 @@ pub struct Workspace {
     index: BTreeMap<String, Vec<FnNode>>,
     /// Forward call edges, deduplicated.
     edges: BTreeMap<FnNode, BTreeSet<FnNode>>,
-    /// Reverse edges for caller queries.
-    redges: BTreeMap<FnNode, BTreeSet<FnNode>>,
 }
 
 impl Workspace {
@@ -93,7 +81,6 @@ impl Workspace {
         }
 
         let mut edges: BTreeMap<FnNode, BTreeSet<FnNode>> = BTreeMap::new();
-        let mut redges: BTreeMap<FnNode, BTreeSet<FnNode>> = BTreeMap::new();
         for (fi, file) in files.iter().enumerate() {
             for (ni, f) in file.fns.iter().enumerate() {
                 if f.in_test {
@@ -105,7 +92,6 @@ impl Workspace {
                             continue;
                         }
                         edges.entry((fi, ni)).or_default().insert(target);
-                        redges.entry(target).or_default().insert((fi, ni));
                     }
                 }
             }
@@ -114,7 +100,6 @@ impl Workspace {
             files,
             index,
             edges,
-            redges,
         }
     }
 
@@ -123,29 +108,16 @@ impl Workspace {
         resolve_with(&self.files, &self.index, from, call)
     }
 
-    pub fn callees(&self, n: FnNode) -> impl Iterator<Item = FnNode> + '_ {
-        self.edges.get(&n).into_iter().flatten().copied()
-    }
-
     /// Every function reachable from `start` along call edges, including
     /// `start` itself.
     pub fn callee_closure(&self, start: FnNode) -> BTreeSet<FnNode> {
-        self.closure(start, &self.edges)
-    }
-
-    /// Every function that can reach `start`, including `start` itself.
-    pub fn caller_closure(&self, start: FnNode) -> BTreeSet<FnNode> {
-        self.closure(start, &self.redges)
-    }
-
-    fn closure(&self, start: FnNode, over: &BTreeMap<FnNode, BTreeSet<FnNode>>) -> BTreeSet<FnNode> {
         let mut seen: BTreeSet<FnNode> = BTreeSet::new();
         let mut queue = vec![start];
         while let Some(n) = queue.pop() {
             if !seen.insert(n) {
                 continue;
             }
-            for next in over.get(&n).into_iter().flatten() {
+            for next in self.edges.get(&n).into_iter().flatten() {
                 if !seen.contains(next) {
                     queue.push(*next);
                 }
@@ -154,38 +126,10 @@ impl Workspace {
         seen
     }
 
-    /// Roots of the recovery graph: production functions with a recovery
-    /// name (see [`is_recovery_name`]).
-    pub fn recovery_roots(&self) -> Vec<FnNode> {
-        let mut roots = Vec::new();
-        for (fi, file) in self.files.iter().enumerate() {
-            for (ni, f) in file.fns.iter().enumerate() {
-                if !f.in_test && is_recovery_name(&f.name) {
-                    roots.push((fi, ni));
-                }
-            }
-        }
-        roots
-    }
-
-    /// Every function reachable from any recovery root — the population
-    /// whose reads satisfy K1's "restored on a recovery path" obligation.
-    pub fn recovery_reachable(&self) -> BTreeSet<FnNode> {
-        let mut reach = BTreeSet::new();
-        for root in self.recovery_roots() {
-            reach.extend(self.callee_closure(root));
-        }
-        reach
-    }
-
-    /// `path:line → fn` context string for messages.
+    /// `fn (path)` context string for messages.
     pub fn describe(&self, n: FnNode) -> String {
         let file = &self.files[n.0];
-        let f = &file.fns[n.1];
-        match &f.self_type {
-            Some(t) => format!("{}::{}", t, f.name),
-            None => f.name.clone(),
-        }
+        format!("{} ({})", file.fns[n.1].name, file.path)
     }
 }
 
@@ -221,25 +165,23 @@ fn resolve_with(
 mod tests {
     use super::*;
 
-    fn file(path: &str, krate: &str, src: &str) -> FileModel {
-        FileModel::build(path, krate, src)
+    fn file(path: &str, src: &str) -> FileModel {
+        FileModel::build(path, src)
     }
 
     #[test]
-    fn cross_file_edges_and_recovery_reachability() {
+    fn cross_file_edges_and_transitive_reach() {
         let a = file(
             "crates/core/src/a.rs",
-            "core",
             "pub fn on_start() { restore_floor(); }\nfn restore_floor() { read_slot(); }\n",
         );
         let b = file(
             "crates/core/src/b.rs",
-            "core",
             "pub fn read_slot() {}\npub fn unrelated() { helper(); }\nfn helper() {}\n",
         );
         let ws = Workspace::build(vec![a, b]);
-        let reach = ws.recovery_reachable();
-        let names: BTreeSet<String> = reach
+        let names: BTreeSet<String> = ws
+            .callee_closure((0, 0))
             .iter()
             .map(|&(fi, ni)| ws.files[fi].fns[ni].name.clone())
             .collect();
@@ -254,13 +196,11 @@ mod tests {
     fn stoplist_and_fan_out_guard_precision() {
         let mut sources = vec![file(
             "crates/core/src/caller.rs",
-            "core",
             "pub fn caller(v: &mut Vec<u32>) { v.insert(0, 1); spread(); }\n",
         )];
         for i in 0..9 {
             sources.push(file(
                 &format!("crates/core/src/s{i}.rs"),
-                "core",
                 "pub fn spread() {}\n",
             ));
         }
@@ -274,27 +214,12 @@ mod tests {
     fn same_file_helpers_shadow_global_candidates() {
         let a = file(
             "crates/core/src/a.rs",
-            "core",
             "pub fn go() { helper(); }\nfn helper() { marker_a(); }\nfn marker_a() {}\n",
         );
-        let b = file("crates/core/src/b.rs", "core", "pub fn helper() { }\n");
+        let b = file("crates/core/src/b.rs", "pub fn helper() { }\n");
         let ws = Workspace::build(vec![a, b]);
         let closure = ws.callee_closure((0, 0));
         assert!(closure.contains(&(0, 1)));
         assert!(!closure.contains(&(1, 0)));
-    }
-
-    #[test]
-    fn caller_closure_walks_reverse_edges() {
-        let a = file(
-            "crates/core/src/a.rs",
-            "core",
-            "pub fn top() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\n",
-        );
-        let ws = Workspace::build(vec![a]);
-        let leaf = (0usize, 2usize);
-        let callers = ws.caller_closure(leaf);
-        assert!(callers.contains(&(0, 0)));
-        assert!(callers.contains(&(0, 1)));
     }
 }

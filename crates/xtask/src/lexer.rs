@@ -25,8 +25,8 @@ pub enum TokKind {
     Punct,
     /// String, byte-string, char or byte-char literal.  For string-shaped
     /// literals the token text is the literal's *contents* (escapes left
-    /// as written) so the analyzer can read storage-key patterns out of
-    /// `StorageKey::new("…")`; char literals keep an opaque `'…'` text.
+    /// as written), so `cargo xtask loc` sees the lines a multi-line
+    /// literal spans; char literals keep an opaque `'…'` text.
     Literal,
     /// Numeric literal.
     Number,
@@ -66,6 +66,49 @@ fn is_ident_start(c: char) -> bool {
 
 fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
+}
+
+/// `true` when token `i` is the identifier `text`.
+pub fn ident_at(tokens: &[Token], i: usize, text: &str) -> bool {
+    tokens
+        .get(i)
+        .is_some_and(|t| t.kind == TokKind::Ident && t.text == text)
+}
+
+/// `true` when token `i` is the punctuation `text`.
+pub fn punct_at(tokens: &[Token], i: usize, text: &str) -> bool {
+    tokens
+        .get(i)
+        .is_some_and(|t| t.kind == TokKind::Punct && t.text == text)
+}
+
+/// Token `i` if it is an identifier.
+pub fn plain_ident(tokens: &[Token], i: usize) -> Option<&Token> {
+    tokens.get(i).filter(|t| t.kind == TokKind::Ident)
+}
+
+/// Index of the bracket closing the `(`, `[` or `{` at `open`; saturates
+/// at the last token for unbalanced input.
+pub fn matching_close(tokens: &[Token], open: usize) -> usize {
+    let (opener, closer) = match tokens[open].text.as_str() {
+        "(" => ("(", ")"),
+        "[" => ("[", "]"),
+        _ => ("{", "}"),
+    };
+    let mut depth = 0usize;
+    for (i, t) in tokens.iter().enumerate().skip(open) {
+        if t.kind == TokKind::Punct {
+            if t.text == opener {
+                depth += 1;
+            } else if t.text == closer {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return i;
+                }
+            }
+        }
+    }
+    tokens.len().saturating_sub(1)
 }
 
 /// Lexes `src` into tokens and line comments.  Unterminated literals and
@@ -123,7 +166,11 @@ pub fn lex(src: &str) -> LexOutput {
             '"' => {
                 let start_line = line;
                 let end = consume_string(&chars, i, &mut line);
-                out.push(TokKind::Literal, string_contents(&chars, i + 1, end), start_line);
+                out.push(
+                    TokKind::Literal,
+                    string_contents(&chars, i + 1, end),
+                    start_line,
+                );
                 i = end;
             }
             'r' | 'b' => {
@@ -391,7 +438,8 @@ mod tests {
 
     #[test]
     fn string_literals_keep_their_contents() {
-        let out = lex("let k = \"abcast/agreed\"; let r = r#\"raw \"x\" body\"#; let b = b\"bytes\";");
+        let out =
+            lex("let k = \"abcast/agreed\"; let r = r#\"raw \"x\" body\"#; let b = b\"bytes\";");
         let lits: Vec<&str> = out
             .tokens
             .iter()

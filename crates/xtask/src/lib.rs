@@ -1,37 +1,27 @@
-//! `xtask`: workspace developer tooling — the determinism & durability
-//! linter behind `cargo xtask lint`, the semantic analyzer behind
-//! `cargo xtask analyze`, and the line counter behind `cargo xtask loc`.
+//! `xtask`: workspace developer tooling — the linter behind
+//! `cargo xtask lint` and the line counter behind `cargo xtask loc`.
 //!
 //! The linter is a dependency-free static-analysis pass over every
 //! workspace `.rs` file (shims and lint fixtures excluded).  It tokenizes
-//! each file with a small hand-rolled lexer and enforces the
-//! project-specific rules catalogued in [`rules::RULES`]:
+//! each file with a small hand-rolled lexer and enforces the rules that
+//! no test replaces (README "Static analysis" records the mutation audit
+//! behind that list):
 //!
-//! * **D1/D2** — determinism: no wall clock, ambient entropy or unordered
-//!   maps in the crates the seeded simulation / lock-step equivalence
-//!   tests depend on;
-//! * **B1/B2** — the paper's log-before-send barrier discipline: all
-//!   durability flows through `crates/storage`, and protocol handlers pay
-//!   exactly one barrier per step via `run_step`;
-//! * **Z1** — zero-copy payload regression guard;
-//! * **P1** — `net::tcp` connection handling maps faults to counted
-//!   fair-lossy loss instead of panicking;
-//! * **S1** — suppression hygiene.
+//! * the lexical rules in [`rules::RULES`], matched per file on the
+//!   token stream;
+//! * **L1** ([`locks`]) — no lock held across blocking I/O, found over a
+//!   per-file item model ([`model`]) and a cross-file call graph
+//!   ([`graph`]).
 //!
-//! Deliberate exceptions carry a same-line
-//! `// xlint:allow(<rule>) — <reason>`; the report inventories every one.
-//!
-//! On top of the same lexer, `cargo xtask analyze` builds a per-file item
-//! model ([`model`]) and a cross-file call graph ([`graph`]) and runs the
-//! semantic rule families catalogued in [`analyze::ANALYZE_RULES`]:
-//! **L1** lock-order/deadlock analysis, **K1** storage-key lifecycle
-//! audit, **V1** volatile-twin persistence checking.
+//! Deliberate exceptions carry a `// xlint:allow(<rule>) — <reason>` on
+//! the offending line (for L1 also on the line directly above).  Every
+//! allow must suppress a finding: one whose rule never fires on its line,
+//! that names no rule, or that gives no reason is itself a violation.
 
-pub mod analyze;
 pub mod graph;
 pub mod lexer;
+pub mod locks;
 pub mod model;
-pub mod report;
 pub mod rules;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,9 +29,47 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use analyze::ANALYZE_RULES;
-pub use report::LintReport;
 pub use rules::{lint_source, FileOutcome, Suppression, Violation};
+
+/// The whole-workspace lint result.
+#[derive(Debug, Default)]
+pub struct LintReport {
+    pub files_scanned: usize,
+    pub violations: Vec<Violation>,
+    pub suppressions: Vec<Suppression>,
+}
+
+impl LintReport {
+    /// `true` when the tree is clean (suppressed findings do not count).
+    pub fn is_clean(&self) -> bool {
+        self.violations.is_empty()
+    }
+
+    /// Human-readable summary: one line per violation, then the
+    /// suppression inventory.
+    pub fn render_text(&self) -> String {
+        let mut out = String::new();
+        for v in &self.violations {
+            out.push_str(&format!(
+                "{}:{} [{}] {}\n",
+                v.path, v.line, v.rule, v.message
+            ));
+        }
+        out.push_str(&format!(
+            "xlint: {} file(s) scanned, {} violation(s), {} suppression(s)\n",
+            self.files_scanned,
+            self.violations.len(),
+            self.suppressions.len(),
+        ));
+        for s in &self.suppressions {
+            out.push_str(&format!(
+                "  allow {} at {}:{} — {}\n",
+                s.rule, s.path, s.line, s.reason
+            ));
+        }
+        out
+    }
+}
 
 /// Lints every workspace `.rs` file under `root` and aggregates the
 /// outcome.  Files are visited in sorted path order, so reports are
@@ -51,50 +79,64 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     collect_rs_files(root, root, &mut files)?;
     files.sort();
 
-    let mut lint = LintReport::default();
-    for rel in files {
-        let src = fs::read_to_string(root.join(&rel))?;
-        let rel_str = rel.to_string_lossy().replace('\\', "/");
-        if rules::is_excluded(&rel_str) {
-            continue;
-        }
-        lint.files_scanned += 1;
-        let outcome = lint_source(&rel_str, &src);
-        lint.violations.extend(outcome.violations);
-        lint.suppressions.extend(outcome.suppressions);
-    }
-    Ok(lint)
-}
-
-/// Runs the semantic analyzer over every workspace crate-source file
-/// under `root`.  Only `src/` files are modelled (tests and fixtures are
-/// neither lock nor recovery surface); `files_scanned` counts the
-/// modelled population.
-pub fn analyze_workspace(root: &Path) -> io::Result<LintReport> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-
+    let mut report = LintReport::default();
     let mut models = Vec::new();
     for rel in files {
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         if rules::is_excluded(&rel_str) {
             continue;
         }
-        let Some(krate) = rules::src_crate(&rel_str) else {
-            continue;
-        };
         let src = fs::read_to_string(root.join(&rel))?;
-        models.push(model::FileModel::build(&rel_str, &krate, &src));
+        report.files_scanned += 1;
+        let outcome = lint_source(&rel_str, &src);
+        report.violations.extend(outcome.violations);
+        report.suppressions.extend(outcome.suppressions);
+        // L1 models crate sources only: tests are not lock surface.
+        if rules::src_crate(&rel_str).is_some() {
+            models.push(model::FileModel::build(&rel_str, &src));
+        }
     }
+
     let ws = graph::Workspace::build(models);
-    let (violations, suppressions) = analyze::analyze(&ws);
-    Ok(LintReport {
-        files_scanned: ws.files.len(),
-        violations,
-        suppressions,
-        rules: &analyze::ANALYZE_RULES,
-    })
+    for finding in locks::held_across_blocking(&ws) {
+        let path = &ws.files[finding.file].path;
+        // L1 findings anchor at expression sites where a trailing comment
+        // is often unreadable, so the allow may also sit on its own line
+        // immediately above.
+        let allow = report.suppressions.iter_mut().find(|s| {
+            s.rule == "L1"
+                && !s.reason.is_empty()
+                && s.path == *path
+                && (s.line == finding.line || s.line + 1 == finding.line)
+        });
+        match allow {
+            Some(allow) => allow.used = true,
+            None => report.violations.push(Violation {
+                rule: "L1",
+                path: path.clone(),
+                line: finding.line,
+                message: finding.message,
+            }),
+        }
+    }
+
+    // A stale allow is a hole a future regression walks through silently.
+    for s in report.suppressions.iter().filter(|s| !s.used) {
+        report.violations.push(Violation {
+            rule: "S1",
+            path: s.path.clone(),
+            line: s.line,
+            message: format!(
+                "xlint:allow({}) suppresses nothing on this line — a known rule id, a reason \
+                 and a finding of that rule are all required; remove or fix the allow",
+                s.rule
+            ),
+        });
+    }
+    report
+        .violations
+        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    Ok(report)
 }
 
 /// Counts the tracked size: non-test, non-comment, non-blank Rust lines
