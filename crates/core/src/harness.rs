@@ -242,8 +242,8 @@ impl Cluster {
         ids: &[MsgId],
         deadline: SimTime,
     ) -> bool {
-        let who = who.to_vec(); // xlint:allow(Z1) — a few Copy process ids owned by the predicate, not payload bytes
-        let ids = ids.to_vec(); // xlint:allow(Z1) — a few Copy message ids owned by the predicate, not payload bytes
+        let who = who.to_vec(); // A few Copy process ids owned by the predicate, not payload bytes
+        let ids = ids.to_vec(); // A few Copy message ids owned by the predicate, not payload bytes
         self.sim.run_until(deadline, |sim| {
             who.iter().all(|p| {
                 sim.actor(*p)
@@ -270,7 +270,7 @@ impl Cluster {
     pub fn delivered(&self, p: ProcessId) -> Vec<AppMessage> {
         self.sim
             .actor(p)
-            .map(|a| a.delivered_messages().to_vec()) // xlint:allow(Z1) — inspection hands out owned copies; payload Bytes inside stay refcounted
+            .map(|a| a.delivered_messages().to_vec()) // Inspection hands out owned copies; payload Bytes inside stay refcounted
             .unwrap_or_default()
     }
 

@@ -828,7 +828,7 @@ impl AtomicBroadcast {
         match peer_count {
             Some(count)
                 if count >= explicit_start && count >= self.suffix_floor && count <= total => {
-                let suffix = explicit[(count - explicit_start) as usize..].to_vec(); // xlint:allow(Z1) — suffix transfer owns its slice; each AppMessage clones a refcounted Bytes handle
+                let suffix = explicit[(count - explicit_start) as usize..].to_vec(); // Suffix transfer owns its slice; each AppMessage clones a refcounted Bytes handle
                 self.metrics.suffix_transfers_sent += 1;
                 AbcastMsg::StateSuffix {
                     round: prev,

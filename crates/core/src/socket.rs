@@ -136,7 +136,7 @@ impl TcpCluster {
     ) -> bool {
         let deadline = Instant::now() + timeout;
         who.iter().all(|&p| {
-            let ids = ids.to_vec(); // xlint:allow(Z1) — a handful of Copy ids moved into the probe, not payload bytes
+            let ids = ids.to_vec(); // A handful of Copy ids moved into the probe, not payload bytes
             let left = deadline.saturating_duration_since(Instant::now());
             self.runtime
                 .wait_for(p, left, move |a| ids.iter().all(|id| a.is_delivered(*id)).then_some(()))
@@ -165,7 +165,7 @@ impl TcpCluster {
     /// The explicitly delivered messages of `p` (empty while down).
     pub fn delivered(&self, p: ProcessId) -> Vec<AppMessage> {
         self.runtime
-            .inspect(p, |a| a.delivered_messages().to_vec()) // xlint:allow(Z1) — inspection hands out owned copies; payload Bytes inside stay refcounted
+            .inspect(p, |a| a.delivered_messages().to_vec()) // Inspection hands out owned copies; payload Bytes inside stay refcounted
             .unwrap_or_default()
     }
 

@@ -92,6 +92,28 @@ mod sys {
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
         fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
         fn getsockopt(fd: i32, level: i32, name: i32, value: *mut i32, len: *mut u32) -> i32;
+        #[cfg(test)]
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const Linger, len: u32) -> i32;
+    }
+
+    #[cfg(test)]
+    const SO_LINGER: i32 = 13;
+
+    #[cfg(test)]
+    #[repr(C)]
+    struct Linger {
+        onoff: i32,
+        linger: i32,
+    }
+
+    /// `SO_LINGER` on with a zero timeout: `close` then sends a reset.
+    #[cfg(test)]
+    pub(super) fn linger_zero(fd: RawFd) -> io::Result<()> {
+        let value = Linger { onoff: 1, linger: 0 };
+        let len = std::mem::size_of::<Linger>() as u32;
+        // SAFETY: `value` is a live `struct linger` of `len` bytes, read by
+        // the kernel only for the duration of the call.
+        check(unsafe { setsockopt(fd, SOL_SOCKET, SO_LINGER, &value, len) }).map(|_| ())
     }
 
     fn check(ret: i32) -> io::Result<i32> {
@@ -411,6 +433,14 @@ pub fn take_connect_error(fd: RawFd) -> io::Result<Option<io::Error>> {
     } else {
         Ok(Some(io::Error::from_raw_os_error(raw)))
     }
+}
+
+/// Makes dropping `stream` reset the connection (`SO_LINGER` 0) rather
+/// than close it cleanly: the peer's next read fails with `ECONNRESET`.
+#[cfg(test)]
+pub(crate) fn reset_on_close(stream: &TcpStream) -> io::Result<()> {
+    use std::os::fd::AsRawFd;
+    sys::linger_zero(stream.as_raw_fd())
 }
 
 /// Deadline-ordered timer store for the poller thread: reconnect backoff

@@ -2041,6 +2041,80 @@ mod tests {
     }
 
     #[test]
+    fn stream_faults_are_counted_loss_and_the_poller_keeps_serving() {
+        let storage = StorageRegistry::in_memory(2);
+        let runtime: TcpRuntime<Quiet> =
+            TcpRuntime::start(2, storage, TcpConfig::default(), |_, _| Quiet::default()).unwrap();
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        // `true` once a frame from `from` reaches `to`, resending while the
+        // link reconnects as any fair-lossy sender would.
+        let delivers = |from: ProcessId, to: ProcessId| {
+            let before = runtime.inspect(to, |a| a.received).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while Instant::now() < deadline {
+                runtime.invoke(from, move |_, ctx| ctx.send(to, encode_frame(&7u64)));
+                let got = runtime.wait_for(to, Duration::from_millis(50), move |a| {
+                    (a.received > before).then_some(())
+                });
+                if got.is_some() {
+                    return true;
+                }
+            }
+            false
+        };
+        assert!(delivers(p0, p1) && delivers(p1, p0), "initial traffic");
+
+        // A read error: a rogue peer sends the handshake and half a frame in
+        // one write, then resets the connection.  The poller drains the
+        // buffered bytes, and its next read fails with ECONNRESET.
+        let before = runtime.tcp_metrics().snapshot();
+        let mut frame = Vec::new();
+        for chunk in crate::frame::wire_chunks(&encode_frame(&41u64)) {
+            frame.extend_from_slice(&chunk);
+        }
+        let mut wire = HANDSHAKE_MAGIC.to_le_bytes().to_vec();
+        wire.extend_from_slice(&7u32.to_le_bytes());
+        wire.extend_from_slice(&frame[..frame.len() / 2]);
+        let mut rogue = TcpStream::connect(runtime.addr(p0)).unwrap();
+        rogue.write_all(&wire).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runtime.tcp_metrics().snapshot().since(&before).connections_accepted == 0 {
+            assert!(Instant::now() < deadline, "the rogue handshake must be read");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        crate::poll::reset_on_close(&rogue).unwrap();
+        drop(rogue);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while runtime.tcp_metrics().snapshot().since(&before).torn_frames == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the reset must close the connection and count its half frame"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(delivers(p1, p0), "frames keep flowing after a read error");
+        let delta = runtime.tcp_metrics().snapshot().since(&before);
+        assert_eq!((delta.torn_frames, delta.stream_errors), (1, 0), "{delta:?}");
+
+        // A write error: the poller is idle (quiet actors, no timers), so
+        // these two commands are drained together.  The sever shuts both
+        // ends of the link, and the frame then hits the shut stream before
+        // any readiness event can tear it down: the write fails with EPIPE.
+        let before = runtime.tcp_metrics().snapshot();
+        let (reply, _severed) = bounded(1);
+        let frame = encode_frame(&8u64);
+        let sever = PollCmd::Sever { a: p0, b: Some(p1), reply };
+        for cmd in [sever, PollCmd::Frame { src: p0, dst: p1, frame }] {
+            assert!(runtime.poll_tx.send(cmd).is_ok(), "the poller is running");
+        }
+        runtime.waker.notify();
+        assert!(delivers(p0, p1), "frames keep flowing after a write error");
+        let delta = runtime.tcp_metrics().snapshot().since(&before);
+        assert!(delta.frames_dropped >= 1, "the failed write is counted loss: {delta:?}");
+        runtime.shutdown();
+    }
+
+    #[test]
     fn a_delayed_link_policy_stretches_delivery_latency() {
         let storage = StorageRegistry::in_memory(2);
         let config = TcpConfig::default().with_link(LinkPolicy::delayed(

@@ -101,7 +101,7 @@ pub(crate) fn request(shared: &Arc<WalShared>) {
 pub(crate) fn quiesce(shared: &WalShared) -> Result<()> {
     let mut flags = shared.comp.lock();
     while (flags.pending || flags.running) && !flags.shutdown {
-        // xlint:allow(L1) — condvar wait atomically releases the flags lock while parked; this is the idle path, not a held-lock stall
+        // Condvar wait atomically releases the flags lock while parked; this is the idle path, not a held-lock stall
         flags = shared.comp_cv.wait(flags);
     }
     match flags.last_error.take() {
@@ -124,7 +124,7 @@ fn worker_loop(shared: Arc<WalShared>) {
     let mut flags = shared.comp.lock();
     loop {
         while !flags.pending && !flags.shutdown {
-            // xlint:allow(L1) — condvar wait atomically releases the flags lock while parked; this is the idle path, not a held-lock stall
+            // Condvar wait atomically releases the flags lock while parked; this is the idle path, not a held-lock stall
             flags = shared.comp_cv.wait(flags);
         }
         if flags.shutdown {
@@ -164,7 +164,7 @@ fn compact_pass(shared: &WalShared) -> Result<()> {
             return Ok(());
         }
         if inner.active_bytes > 0 {
-            // xlint:allow(L1) — sealing is the write path's O(1) rotation: one fsync + one dir barrier under the lock, never a rewrite; the snapshot after it clones refcounts only
+            // Sealing is the write path's O(1) rotation: one fsync + one dir barrier under the lock, never a rewrite; the snapshot after it clones refcounts only
             super::seal_active(shared, &mut inner)?;
         }
         (inner.sealed.clone(), inner.state.to_live_ops())
@@ -178,6 +178,8 @@ fn compact_pass(shared: &WalShared) -> Result<()> {
     let mut file = File::create(&tmp)?;
     let mut base_bytes = segment::write_base_meta(&mut file, covered_new)?;
     base_bytes += segment::write_group_to(&mut file, &live_ops)?;
+    #[cfg(test)]
+    shared.rewrite_pause.park();
     file.sync_data()?;
     shared.metrics.record_sync();
     // The rename is the commit point: before it the old base + segments

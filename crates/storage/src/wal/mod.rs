@@ -144,6 +144,9 @@ pub(crate) struct WalShared {
     pub(crate) comp: Mutex<CompactorFlags>,
     pub(crate) comp_cv: Condvar,
     pub(crate) worker: Mutex<Option<JoinHandle<()>>>,
+    /// Parks the compactor mid-rewrite when a test arms it.
+    #[cfg(test)]
+    pub(crate) rewrite_pause: tests::PausePoint,
 }
 
 /// A point-in-time view of the segmented journal layout, for tests and
@@ -303,6 +306,8 @@ impl WalStorage {
                 comp: Mutex::new(CompactorFlags::default()),
                 comp_cv: Condvar::new(),
                 worker: Mutex::new(None),
+                #[cfg(test)]
+                rewrite_pause: tests::PausePoint::default(),
             }),
         })
     }
@@ -381,7 +386,7 @@ impl WalStorage {
     pub fn flush(&self) -> Result<()> {
         let mut inner = self.shared.inner.lock();
         if inner.unsynced_commits > 0 {
-            // xlint:allow(L1) — the group-commit design point: one barrier under the lock settles every commit in the backlog
+            // The group-commit design point: one barrier under the lock settles every commit in the backlog
             inner.active.sync_data()?;
             inner.unsynced_commits = 0;
             self.shared.metrics.record_sync();
@@ -403,7 +408,7 @@ impl WalStorage {
         {
             let mut inner = self.shared.inner.lock();
             if inner.active_bytes > 0 {
-                // xlint:allow(L1) — sealing is the write path's O(1) rotation: one fsync + one dir barrier under the lock, never a rewrite
+                // Sealing is the write path's O(1) rotation: one fsync + one dir barrier under the lock, never a rewrite
                 seal_active(&self.shared, &mut inner)?;
             }
         }
@@ -532,7 +537,7 @@ impl Drop for WalStorage {
 impl StableStorage for WalStorage {
     fn store(&self, key: &StorageKey, value: &[u8]) -> Result<()> {
         let mut inner = self.shared.inner.lock();
-        // xlint:allow(L1) — journal writes are serialized by the inner lock; that serialization is what makes group commit and record order sound
+        // Journal writes are serialized by the inner lock; that serialization is what makes group commit and record order sound
         self.write_group(
             &mut inner,
             vec![BatchOp::Store {
@@ -540,7 +545,7 @@ impl StableStorage for WalStorage {
                 value: Bytes::copy_from_slice(value),
             }],
         )?;
-        self.commit_barrier(&mut inner) // xlint:allow(L1) — the group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
+        self.commit_barrier(&mut inner) // The group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
     }
 
     fn load(&self, key: &StorageKey) -> Result<Option<Bytes>> {
@@ -555,7 +560,7 @@ impl StableStorage for WalStorage {
 
     fn append(&self, key: &StorageKey, value: &[u8]) -> Result<()> {
         let mut inner = self.shared.inner.lock();
-        // xlint:allow(L1) — same single-writer journal discipline as `store`
+        // Same single-writer journal discipline as `store`
         self.write_group(
             &mut inner,
             vec![BatchOp::Append {
@@ -563,7 +568,7 @@ impl StableStorage for WalStorage {
                 value: Bytes::copy_from_slice(value),
             }],
         )?;
-        self.commit_barrier(&mut inner) // xlint:allow(L1) — the group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
+        self.commit_barrier(&mut inner) // The group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
     }
 
     fn load_log(&self, key: &StorageKey) -> Result<Vec<Bytes>> {
@@ -577,9 +582,9 @@ impl StableStorage for WalStorage {
 
     fn remove(&self, key: &StorageKey) -> Result<()> {
         let mut inner = self.shared.inner.lock();
-        // xlint:allow(L1) — same single-writer journal discipline as `store`
+        // Same single-writer journal discipline as `store`
         self.write_group(&mut inner, vec![BatchOp::Remove { key: key.clone() }])?;
-        self.commit_barrier(&mut inner) // xlint:allow(L1) — the group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
+        self.commit_barrier(&mut inner) // The group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
     }
 
     fn commit_batch(&self, batch: WriteBatch) -> Result<()> {
@@ -587,10 +592,10 @@ impl StableStorage for WalStorage {
             return Ok(());
         }
         let mut inner = self.shared.inner.lock();
-        // xlint:allow(L1) — a batch must hit the journal as one contiguous record run; releasing between ops would interleave writers
+        // A batch must hit the journal as one contiguous record run; releasing between ops would interleave writers
         self.write_group(&mut inner, batch.into_ops())?;
         self.shared.metrics.record_batch_commit();
-        self.commit_barrier(&mut inner) // xlint:allow(L1) — the group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
+        self.commit_barrier(&mut inner) // The group-commit barrier for the write just journaled under this lock: one fsync per group window, never per caller
     }
 
     fn keys(&self) -> Result<Vec<StorageKey>> {
@@ -641,6 +646,95 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    /// A one-shot park point for the compactor.  Once armed, the next pass
+    /// that reaches it waits there until the test releases it.
+    #[derive(Debug, Default)]
+    pub(crate) struct PausePoint {
+        state: std::sync::Mutex<Pause>,
+        cv: std::sync::Condvar,
+    }
+
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    enum Pause {
+        #[default]
+        Idle,
+        Armed,
+        Parked,
+    }
+
+    impl PausePoint {
+        /// Called by the compactor: parks until released if armed.
+        pub(crate) fn park(&self) {
+            let mut state = self.state.lock().unwrap();
+            if *state != Pause::Armed {
+                return;
+            }
+            *state = Pause::Parked;
+            self.cv.notify_all();
+            while *state == Pause::Parked {
+                state = self.cv.wait(state).unwrap();
+            }
+        }
+
+        fn arm(&self) {
+            *self.state.lock().unwrap() = Pause::Armed;
+        }
+
+        /// `true` once a pass is parked here, `false` after `bound`.
+        fn wait_parked(&self, bound: Duration) -> bool {
+            let state = self.state.lock().unwrap();
+            let (state, _) = self
+                .cv
+                .wait_timeout_while(state, bound, |s| *s != Pause::Parked)
+                .unwrap();
+            *state == Pause::Parked
+        }
+
+        fn release(&self) {
+            *self.state.lock().unwrap() = Pause::Idle;
+            self.cv.notify_all();
+        }
+    }
+
+    /// How long a test body may run before it counts as stalled.
+    const STALL_BOUND: Duration = Duration::from_secs(20);
+
+    /// Runs `body` on its own thread and returns its result, or panics,
+    /// naming the last step the body announced, if it has not finished
+    /// within [`STALL_BOUND`].  A lock inversion or a re-acquire in the WAL
+    /// then fails the test instead of hanging it; the stalled thread is
+    /// left behind.
+    fn bounded<T: Send + 'static>(
+        body: impl FnOnce(&dyn Fn(&'static str)) -> T + Send + 'static,
+    ) -> T {
+        let step = Arc::new(std::sync::Mutex::new("start"));
+        let reached = Arc::clone(&step);
+        let (done_tx, done_rx) = mpsc::channel();
+        let runner = thread::Builder::new()
+            .name(thread::current().name().unwrap_or("bounded").to_string())
+            .spawn(move || {
+                let _ = done_tx.send(body(&|name| *reached.lock().unwrap() = name));
+            })
+            .unwrap();
+        match done_rx.recv_timeout(STALL_BOUND) {
+            Ok(value) => {
+                runner.join().unwrap();
+                value
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!(
+                "stalled for {STALL_BOUND:?} at step `{}`: a WAL lock is never released",
+                step.lock().unwrap()
+            ),
+            // The body panicked: re-raise its panic here.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(runner.join().unwrap_err())
+            }
+        }
+    }
 
     fn temp_wal(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -835,61 +929,75 @@ mod tests {
 
     #[test]
     fn background_compaction_merges_sealed_segments_and_reaps_them() {
-        let path = temp_wal("compact");
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_group_window(1)
-            .with_segment_bytes(256)
-            .with_compact_threshold(512);
-        // Overwrite one slot until the journal is mostly garbage.
-        for i in 0..200u32 {
-            s.store(&key("slot"), &i.to_le_bytes()).unwrap();
-        }
-        s.append(&key("log"), b"keep").unwrap();
-        s.quiesce().unwrap();
-        let before = s.wal_size_bytes();
-        assert!(s.compactions() > 0, "threshold compaction must trigger");
-        let layout = s.layout();
-        assert!(layout.base_bytes > 0, "a compacted base must exist");
-        assert!(layout.covered_seq > 0);
-        assert_eq!(
-            segment::list_sealed(&path).unwrap().len(),
-            layout.sealed_segments,
-            "covered segment files are reaped from disk"
-        );
-        // A final explicit compaction folds everything that is left.
-        s.compact().unwrap();
-        assert!(s.wal_size_bytes() <= before);
-        assert!(
-            s.wal_size_bytes() < 512,
-            "live state is tiny after compaction, journal was {}",
-            s.wal_size_bytes()
-        );
-        drop(s);
+        bounded(|step| {
+            let path = temp_wal("compact");
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_group_window(1)
+                .with_segment_bytes(256)
+                .with_compact_threshold(512);
+            // Overwrite one slot until the journal is mostly garbage.
+            step("overwrite the slot");
+            for i in 0..200u32 {
+                s.store(&key("slot"), &i.to_le_bytes()).unwrap();
+            }
+            step("append");
+            s.append(&key("log"), b"keep").unwrap();
+            step("quiesce");
+            s.quiesce().unwrap();
+            let before = s.wal_size_bytes();
+            assert!(s.compactions() > 0, "threshold compaction must trigger");
+            let layout = s.layout();
+            assert!(layout.base_bytes > 0, "a compacted base must exist");
+            assert!(layout.covered_seq > 0);
+            assert_eq!(
+                segment::list_sealed(&path).unwrap().len(),
+                layout.sealed_segments,
+                "covered segment files are reaped from disk"
+            );
+            // A final explicit compaction folds everything that is left.
+            step("explicit compact");
+            s.compact().unwrap();
+            assert!(s.wal_size_bytes() <= before);
+            assert!(
+                s.wal_size_bytes() < 512,
+                "live state is tiny after compaction, journal was {}",
+                s.wal_size_bytes()
+            );
+            step("drop");
+            drop(s);
 
-        // Recovery after compaction: base + tail replay cleanly.
-        let s = WalStorage::open(&path).unwrap();
-        assert_eq!(
-            s.load(&key("slot")).unwrap().unwrap(),
-            199u32.to_le_bytes()
-        );
-        assert_eq!(s.load_log(&key("log")).unwrap(), vec![b"keep".to_vec()]);
-        cleanup(&path);
+            // Recovery after compaction: base + tail replay cleanly.
+            step("reopen");
+            let s = WalStorage::open(&path).unwrap();
+            assert_eq!(
+                s.load(&key("slot")).unwrap().unwrap(),
+                199u32.to_le_bytes()
+            );
+            assert_eq!(s.load_log(&key("log")).unwrap(), vec![b"keep".to_vec()]);
+            cleanup(&path);
+        });
     }
 
     #[test]
     fn explicit_compact_rewrites_live_state() {
-        let path = temp_wal("explicit-compact");
-        let s = WalStorage::open(&path).unwrap().with_group_window(1);
-        for i in 0..50u32 {
-            s.store(&key("slot"), &i.to_le_bytes()).unwrap();
-        }
-        let before = s.wal_size_bytes();
-        s.compact().unwrap();
-        assert!(s.wal_size_bytes() < before);
-        assert_eq!(s.load(&key("slot")).unwrap().unwrap(), 49u32.to_le_bytes());
-        assert_eq!(s.layout().active_bytes, 0, "everything lives in the base");
-        cleanup(&path);
+        bounded(|step| {
+            let path = temp_wal("explicit-compact");
+            let s = WalStorage::open(&path).unwrap().with_group_window(1);
+            step("store");
+            for i in 0..50u32 {
+                s.store(&key("slot"), &i.to_le_bytes()).unwrap();
+            }
+            let before = s.wal_size_bytes();
+            step("compact");
+            s.compact().unwrap();
+            assert!(s.wal_size_bytes() < before);
+            assert_eq!(s.load(&key("slot")).unwrap().unwrap(), 49u32.to_le_bytes());
+            assert_eq!(s.layout().active_bytes, 0, "everything lives in the base");
+            step("drop");
+            drop(s);
+            cleanup(&path);
+        });
     }
 
     #[test]
@@ -897,28 +1005,34 @@ mod tests {
         // `with_compact_threshold(0)` used to degenerate into a compaction
         // per commit window once half the journal was garbage.  The floor
         // clamp bounds the pass frequency by journal growth instead.
-        let path = temp_wal("zero-threshold");
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_group_window(1)
-            .with_segment_bytes(256)
-            .with_compact_threshold(0);
-        for i in 0..200u32 {
-            s.store(&key("slot"), &i.to_le_bytes()).unwrap();
-        }
-        s.quiesce().unwrap();
-        assert!(
-            s.rotations() >= 10,
-            "the tiny segment size must rotate often ({} rotations)",
-            s.rotations()
-        );
-        assert!(
-            s.compactions() <= 8,
-            "the threshold floor must keep compactions rare, got {}",
-            s.compactions()
-        );
-        assert_eq!(s.load(&key("slot")).unwrap().unwrap(), 199u32.to_le_bytes());
-        cleanup(&path);
+        bounded(|step| {
+            let path = temp_wal("zero-threshold");
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_group_window(1)
+                .with_segment_bytes(256)
+                .with_compact_threshold(0);
+            step("overwrite the slot");
+            for i in 0..200u32 {
+                s.store(&key("slot"), &i.to_le_bytes()).unwrap();
+            }
+            step("quiesce");
+            s.quiesce().unwrap();
+            assert!(
+                s.rotations() >= 10,
+                "the tiny segment size must rotate often ({} rotations)",
+                s.rotations()
+            );
+            assert!(
+                s.compactions() <= 8,
+                "the threshold floor must keep compactions rare, got {}",
+                s.compactions()
+            );
+            assert_eq!(s.load(&key("slot")).unwrap().unwrap(), 199u32.to_le_bytes());
+            step("drop");
+            drop(s);
+            cleanup(&path);
+        });
     }
 
     #[test]
@@ -963,38 +1077,44 @@ mod tests {
 
     #[test]
     fn covered_segment_surviving_a_crash_is_not_replayed_twice() {
-        // Crash window: compaction renamed the new base (covering seg-1)
-        // but died before deleting the segment file.  Recovery must reap
-        // the segment, not replay it — replaying would double-apply its
-        // append records.
-        let path = temp_wal("covered-seg");
-        let backup = path.with_file_name("seg1.backup");
-        {
-            let s = WalStorage::open(&path)
-                .unwrap()
-                .with_group_window(1)
-                .with_segment_bytes(256)
-                .with_compact_threshold(u64::MAX);
-            s.append(&key("log"), &[7u8; 300]).unwrap(); // seals as seg-1
-            assert_eq!(s.layout().sealed_segments, 1);
-            fs::copy(segment::sealed_path(&path, 1), &backup).unwrap();
-            s.compact().unwrap();
-            assert_eq!(s.layout().covered_seq, 1);
-            assert!(!segment::sealed_path(&path, 1).exists());
-        }
-        // Resurrect the covered segment file, as the crash would have.
-        fs::copy(&backup, segment::sealed_path(&path, 1)).unwrap();
-        let s = WalStorage::open(&path).unwrap();
-        assert_eq!(
-            s.load_log(&key("log")).unwrap().len(),
-            1,
-            "the covered segment must not be replayed on top of the base"
-        );
-        assert!(
-            !segment::sealed_path(&path, 1).exists(),
-            "recovery reaps covered segments"
-        );
-        cleanup(&path);
+        bounded(|step| {
+            // Crash window: compaction renamed the new base (covering seg-1)
+            // but died before deleting the segment file.  Recovery must reap
+            // the segment, not replay it — replaying would double-apply its
+            // append records.
+            let path = temp_wal("covered-seg");
+            let backup = path.with_file_name("seg1.backup");
+            {
+                let s = WalStorage::open(&path)
+                    .unwrap()
+                    .with_group_window(1)
+                    .with_segment_bytes(256)
+                    .with_compact_threshold(u64::MAX);
+                step("append");
+                s.append(&key("log"), &[7u8; 300]).unwrap(); // seals as seg-1
+                assert_eq!(s.layout().sealed_segments, 1);
+                fs::copy(segment::sealed_path(&path, 1), &backup).unwrap();
+                step("compact");
+                s.compact().unwrap();
+                assert_eq!(s.layout().covered_seq, 1);
+                assert!(!segment::sealed_path(&path, 1).exists());
+                step("drop");
+            }
+            step("reopen");
+            // Resurrect the covered segment file, as the crash would have.
+            fs::copy(&backup, segment::sealed_path(&path, 1)).unwrap();
+            let s = WalStorage::open(&path).unwrap();
+            assert_eq!(
+                s.load_log(&key("log")).unwrap().len(),
+                1,
+                "the covered segment must not be replayed on top of the base"
+            );
+            assert!(
+                !segment::sealed_path(&path, 1).exists(),
+                "recovery reaps covered segments"
+            );
+            cleanup(&path);
+        });
     }
 
     #[test]
@@ -1127,53 +1247,130 @@ mod tests {
 
     #[test]
     fn a_pass_over_an_empty_active_segment_seals_nothing() {
-        let path = temp_wal("empty-seal");
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_group_window(1)
-            .with_segment_bytes(256)
-            .with_compact_threshold(u64::MAX);
-        s.append(&key("log"), &[7u8; 300]).unwrap(); // rotates immediately
-        assert_eq!(s.layout().active_bytes, 0);
-        assert_eq!(s.rotations(), 1);
-        s.compact().unwrap();
-        assert_eq!(s.rotations(), 1, "an empty active segment is not sealed");
-        assert_eq!(s.compactions(), 1);
-        // Nothing sealed and nothing active: the pass is a no-op.
-        s.compact().unwrap();
-        assert_eq!(s.rotations(), 1);
-        assert_eq!(s.compactions(), 1);
-        cleanup(&path);
+        bounded(|step| {
+            let path = temp_wal("empty-seal");
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_group_window(1)
+                .with_segment_bytes(256)
+                .with_compact_threshold(u64::MAX);
+            step("append");
+            s.append(&key("log"), &[7u8; 300]).unwrap(); // rotates immediately
+            assert_eq!(s.layout().active_bytes, 0);
+            assert_eq!(s.rotations(), 1);
+            step("first compact");
+            s.compact().unwrap();
+            assert_eq!(s.rotations(), 1, "an empty active segment is not sealed");
+            assert_eq!(s.compactions(), 1);
+            // Nothing sealed and nothing active: the pass is a no-op.
+            step("second compact");
+            s.compact().unwrap();
+            assert_eq!(s.rotations(), 1);
+            assert_eq!(s.compactions(), 1);
+            step("drop");
+            drop(s);
+            cleanup(&path);
+        });
+    }
+
+    #[test]
+    fn a_store_does_not_wait_on_the_compaction_rewrite() {
+        // The compactor parks between creating its temporary and the
+        // rename, and a store from another thread must still return.  A
+        // storage lock (`inner` or `comp`) held anywhere across the
+        // rewrite would make every writer wait on the compactor's I/O.
+        const BOUND: Duration = Duration::from_secs(10);
+        bounded(|step| {
+            let path = temp_wal("store-vs-rewrite");
+            let s = Arc::new(
+                WalStorage::open(&path)
+                    .unwrap()
+                    .with_group_window(1)
+                    .with_segment_bytes(256)
+                    .with_compact_threshold(u64::MAX),
+            );
+            // Fifteen sealed segments: each 300-byte store rotates.
+            step("fill");
+            for i in 0..15u8 {
+                s.store(&key("slot"), &[i; 300]).unwrap();
+            }
+            assert_eq!(s.compactions(), 0);
+            step("park the compactor");
+            s.shared.rewrite_pause.arm();
+            compactor::request(&s.shared);
+            let parked = s.shared.rewrite_pause.wait_parked(BOUND);
+            // From here every store also requests a compaction, so it takes
+            // `comp` as well as `inner`.
+            s.shared.compact_threshold.store(0, Ordering::Relaxed);
+            step("store during the rewrite");
+            let stored = parked && {
+                let (done_tx, done_rx) = mpsc::channel();
+                let writer = Arc::clone(&s);
+                let writer = thread::spawn(move || {
+                    writer.store(&key("slot"), &[99; 300]).unwrap();
+                    let _ = done_tx.send(());
+                });
+                // A writer that is still blocked is left behind.
+                let stored = done_rx.recv_timeout(BOUND).is_ok();
+                if stored {
+                    writer.join().unwrap();
+                }
+                stored
+            };
+            // Release before asserting, so that a failure does not leave
+            // the compactor parked for `WalStorage::drop` to join.
+            s.shared.rewrite_pause.release();
+            assert!(parked, "the compactor never reached the rewrite");
+            assert!(
+                stored,
+                "a store did not return within {BOUND:?} while the compaction rewrite was \
+                 parked: a storage lock is held across it"
+            );
+            step("quiesce");
+            s.quiesce().unwrap();
+            assert!(s.compactions() >= 1);
+            assert_eq!(s.load(&key("slot")).unwrap().unwrap(), [99; 300]);
+            step("drop");
+            drop(s);
+            cleanup(&path);
+        });
     }
 
     #[test]
     fn crash_after_the_compactor_seal_before_the_base_rename_reopens_committed_state() {
-        let path = temp_wal("seal-then-crash");
-        let entries: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 40]).collect();
-        {
-            let s = WalStorage::open(&path)
-                .unwrap()
-                .with_group_window(4)
-                .with_segment_bytes(256)
-                .with_compact_threshold(u64::MAX);
-            s.store(&key("slot"), b"first").unwrap();
-            s.compact().unwrap(); // an old base exists
-            for entry in &entries {
-                s.append(&key("log"), entry).unwrap();
+        bounded(|step| {
+            let path = temp_wal("seal-then-crash");
+            let entries: Vec<Vec<u8>> = (0..12u8).map(|i| vec![i; 40]).collect();
+            {
+                let s = WalStorage::open(&path)
+                    .unwrap()
+                    .with_group_window(4)
+                    .with_segment_bytes(256)
+                    .with_compact_threshold(u64::MAX);
+                step("first compact");
+                s.store(&key("slot"), b"first").unwrap();
+                s.compact().unwrap(); // an old base exists
+                step("append");
+                for entry in &entries {
+                    s.append(&key("log"), entry).unwrap();
+                }
+                s.store(&key("slot"), b"second").unwrap();
+                assert!(s.layout().active_bytes > 0, "need records to seal");
+                // The first step of a pass, then the process dies while the
+                // new base is half written to the temporary.
+                step("seal");
+                seal_active(&s.shared, &mut s.shared.inner.lock()).unwrap();
+                assert_eq!(s.layout().active_bytes, 0);
+                fs::write(segment::temp_path(&path), b"half a base").unwrap();
+                step("drop");
             }
-            s.store(&key("slot"), b"second").unwrap();
-            assert!(s.layout().active_bytes > 0, "need records to seal");
-            // The first step of a pass, then the process dies while the
-            // new base is half written to the temporary.
-            seal_active(&s.shared, &mut s.shared.inner.lock()).unwrap();
-            assert_eq!(s.layout().active_bytes, 0);
-            fs::write(segment::temp_path(&path), b"half a base").unwrap();
-        }
-        let s = WalStorage::open(&path).unwrap();
-        assert!(!segment::temp_path(&path).exists(), "the temporary is reaped");
-        assert_eq!(s.load(&key("slot")).unwrap().unwrap(), b"second");
-        assert_eq!(s.load_log(&key("log")).unwrap(), entries);
-        cleanup(&path);
+            step("reopen");
+            let s = WalStorage::open(&path).unwrap();
+            assert!(!segment::temp_path(&path).exists(), "the temporary is reaped");
+            assert_eq!(s.load(&key("slot")).unwrap().unwrap(), b"second");
+            assert_eq!(s.load_log(&key("log")).unwrap(), entries);
+            cleanup(&path);
+        });
     }
 
     proptest! {
@@ -1227,46 +1424,54 @@ mod tests {
             ops in proptest::collection::vec(
                 (0usize..8, 0usize..3, proptest::collection::vec(any::<u8>(), 0..64)), 1..120)) {
             let path = temp_wal("prop-compact");
-            let names = ["a", "b", "c"];
-            let mut slots: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-            let mut logs: BTreeMap<String, Vec<Vec<u8>>> = BTreeMap::new();
-            let view = |s: &WalStorage| -> Vec<(Option<Bytes>, Vec<Bytes>)> {
-                names
+            fn view(s: &WalStorage) -> Vec<(Option<Bytes>, Vec<Bytes>)> {
+                ["a", "b", "c"]
                     .iter()
                     .map(|name| (s.load(&key(name)).unwrap(), s.load_log(&key(name)).unwrap()))
                     .collect()
-            };
-            let before_close = {
-                // Minimum segment size and compaction threshold: seals every
-                // few records and background passes race the commits, with
-                // explicit passes interleaved on top.
-                let s = WalStorage::open(&path).unwrap()
-                    .with_group_window(3)
-                    .with_segment_bytes(256)
-                    .with_compact_threshold(0);
-                for (kind, which, value) in ops {
-                    let name = names[which];
-                    match kind {
-                        0 | 1 => {
-                            s.store(&key(name), &value).unwrap();
-                            slots.insert(name.to_string(), value);
+            }
+            let (before_close, slots, logs) = bounded({
+                let path = path.clone();
+                move |step| {
+                    let names = ["a", "b", "c"];
+                    let mut slots: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+                    let mut logs: BTreeMap<String, Vec<Vec<u8>>> = BTreeMap::new();
+                    // Minimum segment size and compaction threshold: seals
+                    // every few records and background passes race the
+                    // commits, with explicit passes interleaved on top.
+                    let s = WalStorage::open(&path).unwrap()
+                        .with_group_window(3)
+                        .with_segment_bytes(256)
+                        .with_compact_threshold(0);
+                    step("apply the ops");
+                    for (kind, which, value) in ops {
+                        let name = names[which];
+                        match kind {
+                            0 | 1 => {
+                                s.store(&key(name), &value).unwrap();
+                                slots.insert(name.to_string(), value);
+                            }
+                            2..=4 => {
+                                s.append(&key(name), &value).unwrap();
+                                logs.entry(name.to_string()).or_default().push(value);
+                            }
+                            5 | 6 => {
+                                s.remove(&key(name)).unwrap();
+                                slots.remove(name);
+                                logs.remove(name);
+                            }
+                            _ => s.compact().unwrap(),
                         }
-                        2..=4 => {
-                            s.append(&key(name), &value).unwrap();
-                            logs.entry(name.to_string()).or_default().push(value);
-                        }
-                        5 | 6 => {
-                            s.remove(&key(name)).unwrap();
-                            slots.remove(name);
-                            logs.remove(name);
-                        }
-                        _ => s.compact().unwrap(),
                     }
+                    step("quiesce");
+                    s.quiesce().unwrap();
+                    let before_close = view(&s);
+                    step("drop");
+                    drop(s);
+                    (before_close, slots, logs)
                 }
-                s.quiesce().unwrap();
-                view(&s)
-            };
-            for (name, (slot, log)) in names.iter().zip(&before_close) {
+            });
+            for (name, (slot, log)) in ["a", "b", "c"].iter().zip(&before_close) {
                 prop_assert_eq!(slot.clone(), slots.get(*name).cloned().map(Bytes::from));
                 prop_assert_eq!(log.clone(), logs.get(*name).cloned().unwrap_or_default());
             }

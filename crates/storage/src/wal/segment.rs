@@ -297,7 +297,7 @@ fn decode_op(payload: &Bytes) -> Result<BatchOp> {
     }
     let key_bytes = dec.take_bytes()?;
     let key = StorageKey::new(
-        String::from_utf8(key_bytes.to_vec()) // xlint:allow(Z1) — replay materializes each record key once per reopen, off the hot path
+        String::from_utf8(key_bytes.to_vec()) // Replay materializes each record key once per reopen, off the hot path
             .map_err(|_| AbcastError::storage("WAL record key is not UTF-8"))?,
     );
     Ok(match tag {

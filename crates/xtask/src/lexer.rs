@@ -4,9 +4,8 @@
 //! patterns without being fooled by comments and string literals, and it
 //! must run in an offline build (no `syn`, no `proc-macro2`).  The lexer
 //! therefore produces a flat token stream — identifiers, punctuation,
-//! literals, lifetimes — each tagged with its source line, plus every `//`
-//! comment keyed by line so the rule engine can find suppression and
-//! justification comments.
+//! literals, lifetimes — each tagged with its source line.  Comments
+//! produce no tokens.
 //!
 //! It understands the lexical shapes that would otherwise cause false
 //! positives: nested block comments, string/byte-string literals with
@@ -42,12 +41,10 @@ pub struct Token {
     pub line: u32,
 }
 
-/// The lexer output: the token stream plus every `//` comment by line.
-/// A line holding several comments (rare, but legal) concatenates them.
-#[derive(Debug, Default)]
-pub struct LexOutput {
-    pub tokens: Vec<Token>,
-    pub comments: Vec<(u32, String)>,
+/// The token stream under construction.
+#[derive(Default)]
+struct LexOutput {
+    tokens: Vec<Token>,
 }
 
 impl LexOutput {
@@ -82,40 +79,11 @@ pub fn punct_at(tokens: &[Token], i: usize, text: &str) -> bool {
         .is_some_and(|t| t.kind == TokKind::Punct && t.text == text)
 }
 
-/// Token `i` if it is an identifier.
-pub fn plain_ident(tokens: &[Token], i: usize) -> Option<&Token> {
-    tokens.get(i).filter(|t| t.kind == TokKind::Ident)
-}
-
-/// Index of the bracket closing the `(`, `[` or `{` at `open`; saturates
-/// at the last token for unbalanced input.
-pub fn matching_close(tokens: &[Token], open: usize) -> usize {
-    let (opener, closer) = match tokens[open].text.as_str() {
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        _ => ("{", "}"),
-    };
-    let mut depth = 0usize;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            if t.text == opener {
-                depth += 1;
-            } else if t.text == closer {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i;
-                }
-            }
-        }
-    }
-    tokens.len().saturating_sub(1)
-}
-
-/// Lexes `src` into tokens and line comments.  Unterminated literals and
+/// Lexes `src` into tokens.  Unterminated literals and
 /// comments are tolerated (the remainder of the file is consumed as the
 /// literal): the linter must degrade gracefully on any input, it is not a
 /// compiler front-end.
-pub fn lex(src: &str) -> LexOutput {
+pub fn lex(src: &str) -> Vec<Token> {
     let chars: Vec<char> = src.chars().collect();
     let mut out = LexOutput::default();
     let mut i = 0usize;
@@ -131,14 +99,9 @@ pub fn lex(src: &str) -> LexOutput {
             }
             c if c.is_whitespace() => i += 1,
             '/' if next == Some('/') => {
-                let start = i + 2;
-                let mut j = start;
-                while j < chars.len() && chars[j] != '\n' {
-                    j += 1;
+                while i < chars.len() && chars[i] != '\n' {
+                    i += 1;
                 }
-                let text: String = chars[start..j].iter().collect();
-                out.comments.push((line, text));
-                i = j;
             }
             '/' if next == Some('*') => {
                 // Nested block comments, newline-aware.
@@ -235,7 +198,7 @@ pub fn lex(src: &str) -> LexOutput {
             }
         }
     }
-    out
+    out.tokens
 }
 
 fn consume_ident(chars: &[char], start: usize) -> (usize, String) {
@@ -366,7 +329,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
@@ -392,19 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_collected_by_line() {
-        let src = "let x = 1; // xlint:allow(D1) — reason\nlet y = 2;\n";
-        let out = lex(src);
-        assert_eq!(out.comments.len(), 1);
-        assert_eq!(out.comments[0].0, 1);
-        assert!(out.comments[0].1.contains("xlint:allow(D1)"));
-    }
-
-    #[test]
     fn lifetimes_are_not_char_literals() {
         let out = lex("fn f<'a>(x: &'a str) { 'outer: loop { break 'outer; } }");
         let lifetimes: Vec<&str> = out
-            .tokens
             .iter()
             .filter(|t| t.kind == TokKind::Lifetime)
             .map(|t| t.text.as_str())
@@ -415,11 +367,7 @@ mod tests {
     #[test]
     fn double_colon_is_one_token_and_lines_track() {
         let out = lex("std::time::Instant\n::now()");
-        let texts: Vec<(&str, u32)> = out
-            .tokens
-            .iter()
-            .map(|t| (t.text.as_str(), t.line))
-            .collect();
+        let texts: Vec<(&str, u32)> = out.iter().map(|t| (t.text.as_str(), t.line)).collect();
         assert_eq!(
             texts,
             vec![
@@ -441,7 +389,6 @@ mod tests {
         let out =
             lex("let k = \"abcast/agreed\"; let r = r#\"raw \"x\" body\"#; let b = b\"bytes\";");
         let lits: Vec<&str> = out
-            .tokens
             .iter()
             .filter(|t| t.kind == TokKind::Literal)
             .map(|t| t.text.as_str())

@@ -1,27 +1,15 @@
 //! `xtask`: workspace developer tooling — the linter behind
 //! `cargo xtask lint` and the line counter behind `cargo xtask loc`.
 //!
-//! The linter is a dependency-free static-analysis pass over every
-//! workspace `.rs` file (shims and lint fixtures excluded).  It tokenizes
-//! each file with a small hand-rolled lexer and enforces the rules that
-//! no test replaces (README "Static analysis" records the mutation audit
-//! behind that list):
-//!
-//! * the lexical rules in [`rules::RULES`], matched per file on the
-//!   token stream;
-//! * **L1** ([`locks`]) — no lock held across blocking I/O, found over a
-//!   per-file item model ([`model`]) and a cross-file call graph
-//!   ([`graph`]).
-//!
-//! Deliberate exceptions carry a `// xlint:allow(<rule>) — <reason>` on
-//! the offending line (for L1 also on the line directly above).  Every
-//! allow must suppress a finding: one whose rule never fires on its line,
-//! that names no rule, or that gives no reason is itself a violation.
+//! The linter is a dependency-free pass over every workspace `.rs` file
+//! (shims and lint fixtures excluded).  It tokenizes each file with a
+//! small hand-rolled lexer, so strings and comments never match, and
+//! enforces the one rule no test can replace, **B1** ([`rules`]): no
+//! direct fsync or `File::create` outside `crates/storage`.  README
+//! "Static analysis" records the mutation audit behind that choice.  The
+//! rule has no exceptions and no allow syntax.
 
-pub mod graph;
 pub mod lexer;
-pub mod locks;
-pub mod model;
 pub mod rules;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,44 +17,32 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use rules::{lint_source, FileOutcome, Suppression, Violation};
+pub use rules::{lint_source, Violation};
 
 /// The whole-workspace lint result.
 #[derive(Debug, Default)]
 pub struct LintReport {
     pub files_scanned: usize,
     pub violations: Vec<Violation>,
-    pub suppressions: Vec<Suppression>,
 }
 
 impl LintReport {
-    /// `true` when the tree is clean (suppressed findings do not count).
+    /// `true` when the tree is clean.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
 
-    /// Human-readable summary: one line per violation, then the
-    /// suppression inventory.
+    /// Human-readable summary: one line per violation, then a total.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for v in &self.violations {
-            out.push_str(&format!(
-                "{}:{} [{}] {}\n",
-                v.path, v.line, v.rule, v.message
-            ));
+            out.push_str(&format!("{}:{} [B1] {}\n", v.path, v.line, v.message));
         }
         out.push_str(&format!(
-            "xlint: {} file(s) scanned, {} violation(s), {} suppression(s)\n",
+            "xlint: {} file(s) scanned, {} violation(s)\n",
             self.files_scanned,
             self.violations.len(),
-            self.suppressions.len(),
         ));
-        for s in &self.suppressions {
-            out.push_str(&format!(
-                "  allow {} at {}:{} — {}\n",
-                s.rule, s.path, s.line, s.reason
-            ));
-        }
         out
     }
 }
@@ -80,7 +56,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     files.sort();
 
     let mut report = LintReport::default();
-    let mut models = Vec::new();
     for rel in files {
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         if rules::is_excluded(&rel_str) {
@@ -88,54 +63,8 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         }
         let src = fs::read_to_string(root.join(&rel))?;
         report.files_scanned += 1;
-        let outcome = lint_source(&rel_str, &src);
-        report.violations.extend(outcome.violations);
-        report.suppressions.extend(outcome.suppressions);
-        // L1 models crate sources only: tests are not lock surface.
-        if rules::src_crate(&rel_str).is_some() {
-            models.push(model::FileModel::build(&rel_str, &src));
-        }
+        report.violations.extend(lint_source(&rel_str, &src));
     }
-
-    let ws = graph::Workspace::build(models);
-    for finding in locks::held_across_blocking(&ws) {
-        let path = &ws.files[finding.file].path;
-        // L1 findings anchor at expression sites where a trailing comment
-        // is often unreadable, so the allow may also sit on its own line
-        // immediately above.
-        let allow = report.suppressions.iter_mut().find(|s| {
-            s.rule == "L1"
-                && !s.reason.is_empty()
-                && s.path == *path
-                && (s.line == finding.line || s.line + 1 == finding.line)
-        });
-        match allow {
-            Some(allow) => allow.used = true,
-            None => report.violations.push(Violation {
-                rule: "L1",
-                path: path.clone(),
-                line: finding.line,
-                message: finding.message,
-            }),
-        }
-    }
-
-    // A stale allow is a hole a future regression walks through silently.
-    for s in report.suppressions.iter().filter(|s| !s.used) {
-        report.violations.push(Violation {
-            rule: "S1",
-            path: s.path.clone(),
-            line: s.line,
-            message: format!(
-                "xlint:allow({}) suppresses nothing on this line — a known rule id, a reason \
-                 and a finding of that rule are all required; remove or fix the allow",
-                s.rule
-            ),
-        });
-    }
-    report
-        .violations
-        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     Ok(report)
 }
 
@@ -173,7 +102,7 @@ pub const BENCHMARK_ROW: &str = "benchmark";
 /// Lines of `src` on which a token outside `#[cfg(test)]` items starts or
 /// which a multi-line literal outside them spans.
 pub fn loc_of_source(src: &str) -> usize {
-    let tokens = lexer::lex(src).tokens;
+    let tokens = lexer::lex(src);
     let mask = rules::test_mask(&tokens);
     let mut lines = BTreeSet::new();
     for (token, in_test) in tokens.iter().zip(mask) {

@@ -5,9 +5,9 @@
 //! cargo xtask loc
 //! ```
 //!
-//! `lint` runs the linter over the workspace and exits non-zero on any
-//! unsuppressed violation or unused allow; the report it prints lists
-//! every violation and every `xlint:allow`.  Neither command takes a flag.
+//! `lint` runs the linter (rule B1: no fsync or `File::create` outside
+//! `crates/storage`) over the workspace, prints every violation, and
+//! exits non-zero if there is one.  Neither command takes a flag.
 //!
 //! `loc` prints the tracked size: non-test, non-comment, non-blank Rust
 //! lines per crate and in total, over `crates/`, `src/` and `examples/`,

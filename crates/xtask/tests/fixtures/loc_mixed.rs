@@ -1,4 +1,4 @@
-//! Fixture for `xtask::loc_of_source`: 6 counted lines, marked `// +`.
+//! Fixture for `xtask::loc_of_source`: 9 counted lines, marked `// +`.
 
 /// Doc comments are not code.
 pub fn answer() -> u32 { // +
@@ -20,3 +20,9 @@ mod tests {
 }
 
 pub const AFTER_TESTS: u32 = 1; // +
+
+pub struct Hooked { // +
+    pub value: u32, // +
+    #[cfg(test)]
+    pub hook: u32,
+} // +

@@ -1,9 +1,9 @@
 //! Tier-1 gate: the workspace must be clean under `cargo xtask lint`.
 //!
-//! This is the same scan CI runs, executed as a plain test so every rule
-//! that no test replaces — the lexical rules and L1's lock-across-I/O
-//! check — is enforced by `cargo test` alone, no extra command to forget.
-//! Unused allows are violations here exactly as in CI.
+//! This is the same scan CI runs, executed as a plain test so rule B1 —
+//! no fsync or `File::create` outside `crates/storage`, the one defect no
+//! other test can observe — is enforced by `cargo test` alone, no extra
+//! command to forget.
 
 use std::path::Path;
 

@@ -7,8 +7,11 @@
 //! Keep this suite green: a failure here means one of the fixed bugs
 //! regressed under the very schedule that originally exposed it.
 
+mod support;
+
 use crash_recovery_abcast::core::fuzz::run_seed_detailed;
 use crash_recovery_abcast::sim::fuzz::FaultFamily;
+use support::bounded;
 
 /// Seed 88 — "GC outruns the agreed checkpoint".
 ///
@@ -28,7 +31,7 @@ use crash_recovery_abcast::sim::fuzz::FaultFamily;
 /// volatile, reopening discarded rounds after recovery.
 #[test]
 fn seed_88_gc_outruns_agreed_checkpoint() {
-    let run = run_seed_detailed(88);
+    let run = bounded(|| run_seed_detailed(88));
     assert!(run.plan.torn_wal, "seed 88 must remain a torn-WAL schedule");
     assert!(
         run.outcome.families.contains(&FaultFamily::DeploymentRestart),
@@ -53,7 +56,7 @@ fn seed_88_gc_outruns_agreed_checkpoint() {
 /// must keep the run clean.
 #[test]
 fn seed_144_pairwise_total_order_shape() {
-    let run = run_seed_detailed(144);
+    let run = bounded(|| run_seed_detailed(144));
     assert!(
         run.outcome.families.contains(&FaultFamily::AsymmetricPartition)
             && run.outcome.families.contains(&FaultFamily::StorageFault),
@@ -76,7 +79,7 @@ fn seed_144_pairwise_total_order_shape() {
 /// survive the corrupted reopen.
 #[test]
 fn seed_12_torn_tail_after_restart() {
-    let run = run_seed_detailed(12);
+    let run = bounded(|| run_seed_detailed(12));
     assert!(run.plan.torn_wal, "seed 12 must remain a torn-WAL schedule");
     assert!(
         run.outcome.families.contains(&FaultFamily::Crash)
@@ -101,7 +104,7 @@ fn seed_12_torn_tail_after_restart() {
 /// first.
 #[test]
 fn seed_163_dense_fault_composition() {
-    let run = run_seed_detailed(163);
+    let run = bounded(|| run_seed_detailed(163));
     assert!(
         run.outcome.families.len() >= 6,
         "seed 163 lost its dense composition: {:?}",

@@ -4,13 +4,16 @@
 //! between the full CI campaigns.  The block is intentionally tiny — the
 //! thousand-seed sweep lives in the `sim-fuzz` CI job.
 
+mod support;
+
 use crash_recovery_abcast::core::fuzz::run_seed;
+use support::bounded;
 
 #[test]
 fn fixed_seed_block_passes() {
     let mut delivered = 0u64;
     for seed in 0..8 {
-        let outcome = run_seed(seed);
+        let outcome = bounded(move || run_seed(seed));
         assert!(
             outcome.passed(),
             "seed {seed} found violations: {:?}",

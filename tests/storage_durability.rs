@@ -6,11 +6,14 @@
 //! (Section 5.2), and the segmented WAL must keep barriers per message
 //! flat and the journal bounded as history grows.
 
+mod support;
+
 use crash_recovery_abcast::core::{Cluster, ClusterConfig};
 use crash_recovery_abcast::storage::{keys, StableStorage, StorageKey};
 use crash_recovery_abcast::{
     ProcessId, ProtocolConfig, Round, SimDuration, StorageRegistry, WalStorage, WriteBatch,
 };
+use support::bounded;
 
 fn p(i: u32) -> ProcessId {
     ProcessId::new(i)
@@ -180,47 +183,49 @@ fn torn_journal_tail_recovers_to_a_prefix_and_catches_up() {
 /// records.
 #[test]
 fn compaction_mid_group_window_keeps_the_pending_tail() {
-    let base = temp_base("compact-window");
-    std::fs::create_dir_all(&base).unwrap();
-    let path = base.join("journal.wal");
-    let slot = StorageKey::new("slot");
-    let log = StorageKey::new("log");
-    {
-        // Window far larger than the commit count: no per-commit fsync
-        // ever runs, the whole run rides the group-commit backlog — except
-        // for segment seals, which are their own durability barrier.
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_group_window(10_000)
-            .with_segment_bytes(256)
-            .with_compact_threshold(512);
-        s.append(&log, b"before-compaction").unwrap();
-        // Overwrite one slot until the journal is mostly garbage: segments
-        // rotate and the threshold nudge from inside `commit_barrier`
-        // schedules background compactions while `unsynced_commits` may
-        // still be non-zero.
-        for i in 0..200u32 {
-            s.store(&slot, &i.to_le_bytes()).unwrap();
-        }
-        s.quiesce().unwrap();
-        assert!(s.compactions() > 0, "compaction must trigger mid-window");
-        // More commits *after* the compaction, again left unsynced.
-        s.append(&log, b"after-compaction").unwrap();
-    } // process crash: the handle is dropped without an explicit flush
+    bounded(|| {
+        let base = temp_base("compact-window");
+        std::fs::create_dir_all(&base).unwrap();
+        let path = base.join("journal.wal");
+        let slot = StorageKey::new("slot");
+        let log = StorageKey::new("log");
+        {
+            // Window far larger than the commit count: no per-commit fsync
+            // ever runs, the whole run rides the group-commit backlog — except
+            // for segment seals, which are their own durability barrier.
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_group_window(10_000)
+                .with_segment_bytes(256)
+                .with_compact_threshold(512);
+            s.append(&log, b"before-compaction").unwrap();
+            // Overwrite one slot until the journal is mostly garbage: segments
+            // rotate and the threshold nudge from inside `commit_barrier`
+            // schedules background compactions while `unsynced_commits` may
+            // still be non-zero.
+            for i in 0..200u32 {
+                s.store(&slot, &i.to_le_bytes()).unwrap();
+            }
+            s.quiesce().unwrap();
+            assert!(s.compactions() > 0, "compaction must trigger mid-window");
+            // More commits *after* the compaction, again left unsynced.
+            s.append(&log, b"after-compaction").unwrap();
+        } // process crash: the handle is dropped without an explicit flush
 
-    let s = WalStorage::open(&path).expect("compacted journal must replay");
-    assert_eq!(
-        s.load(&slot).unwrap().unwrap(),
-        199u32.to_le_bytes(),
-        "the slot state from the unsynced window survives the compaction"
-    );
-    assert_eq!(
-        s.load_log(&log).unwrap(),
-        vec![b"before-compaction".to_vec(), b"after-compaction".to_vec()],
-        "pending log records on both sides of the compaction survive"
-    );
-    drop(s);
-    let _ = std::fs::remove_dir_all(&base);
+        let s = WalStorage::open(&path).expect("compacted journal must replay");
+        assert_eq!(
+            s.load(&slot).unwrap().unwrap(),
+            199u32.to_le_bytes(),
+            "the slot state from the unsynced window survives the compaction"
+        );
+        assert_eq!(
+            s.load_log(&log).unwrap(),
+            vec![b"before-compaction".to_vec(), b"after-compaction".to_vec()],
+            "pending log records on both sides of the compaction survive"
+        );
+        drop(s);
+        let _ = std::fs::remove_dir_all(&base);
+    });
 }
 
 /// An *explicit* `compact()` call (not the threshold path) in the middle of
@@ -229,25 +234,27 @@ fn compaction_mid_group_window_keeps_the_pending_tail() {
 /// base, and the un-fsynced tail written afterwards still replays.
 #[test]
 fn explicit_compact_with_unsynced_backlog_loses_nothing() {
-    let base = temp_base("explicit-compact");
-    std::fs::create_dir_all(&base).unwrap();
-    let path = base.join("journal.wal");
-    let log = StorageKey::new("log");
-    {
-        let s = WalStorage::open(&path).unwrap().with_group_window(10_000);
-        for i in 0..20u8 {
-            s.append(&log, &[i]).unwrap();
+    bounded(|| {
+        let base = temp_base("explicit-compact");
+        std::fs::create_dir_all(&base).unwrap();
+        let path = base.join("journal.wal");
+        let log = StorageKey::new("log");
+        {
+            let s = WalStorage::open(&path).unwrap().with_group_window(10_000);
+            for i in 0..20u8 {
+                s.append(&log, &[i]).unwrap();
+            }
+            assert_eq!(s.metrics().snapshot().sync_ops, 0, "backlog is open");
+            s.compact().unwrap();
+            s.append(&log, &[99]).unwrap();
         }
-        assert_eq!(s.metrics().snapshot().sync_ops, 0, "backlog is open");
-        s.compact().unwrap();
-        s.append(&log, &[99]).unwrap();
-    }
-    let s = WalStorage::open(&path).unwrap();
-    let entries = s.load_log(&log).unwrap();
-    assert_eq!(entries.len(), 21);
-    assert_eq!(entries[20], vec![99]);
-    drop(s);
-    let _ = std::fs::remove_dir_all(&base);
+        let s = WalStorage::open(&path).unwrap();
+        let entries = s.load_log(&log).unwrap();
+        assert_eq!(entries.len(), 21);
+        assert_eq!(entries[20], vec![99]);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&base);
+    });
 }
 
 /// Crash between sealing the active segment and creating its replacement:
@@ -344,37 +351,39 @@ fn torn_active_tail_with_sealed_segments_keeps_sealed_history() {
 /// from the old base + segments untouched.
 #[test]
 fn crash_mid_compaction_reaps_the_half_written_temporary() {
-    let base = temp_base("half-compact");
-    std::fs::create_dir_all(&base).unwrap();
-    let path = base.join("journal.wal");
-    let log = StorageKey::new("log");
-    {
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_segment_bytes(256)
-            .with_compact_threshold(u64::MAX);
-        for i in 0..20u8 {
-            s.append(&log, &[i; 32]).unwrap();
+    bounded(|| {
+        let base = temp_base("half-compact");
+        std::fs::create_dir_all(&base).unwrap();
+        let path = base.join("journal.wal");
+        let log = StorageKey::new("log");
+        {
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_segment_bytes(256)
+                .with_compact_threshold(u64::MAX);
+            for i in 0..20u8 {
+                s.append(&log, &[i; 32]).unwrap();
+            }
+            s.flush().unwrap();
         }
-        s.flush().unwrap();
-    }
-    // Simulate the crash: a compaction pass died after writing part of the
-    // rewritten base to the temporary — including a torn final record.
-    let tmp = std::path::PathBuf::from(format!("{}.compact", path.display()));
-    let mut garbage = std::fs::read(&path).unwrap();
-    garbage.truncate(garbage.len() / 2);
-    std::fs::write(&tmp, &garbage).unwrap();
+        // Simulate the crash: a compaction pass died after writing part of the
+        // rewritten base to the temporary — including a torn final record.
+        let tmp = std::path::PathBuf::from(format!("{}.compact", path.display()));
+        let mut garbage = std::fs::read(&path).unwrap();
+        garbage.truncate(garbage.len() / 2);
+        std::fs::write(&tmp, &garbage).unwrap();
 
-    let s = WalStorage::open(&path).expect("stale temp must not block reopen");
-    assert!(!tmp.exists(), "stale compaction temporary must be reaped");
-    let entries = s.load_log(&log).unwrap();
-    assert_eq!(entries.len(), 20, "pre-crash records replay in full");
-    // The next compaction must start from a clean temp slot.
-    s.compact().unwrap();
-    assert!(!tmp.exists(), "temp is consumed by the rename");
-    assert_eq!(s.load_log(&log).unwrap().len(), 20);
-    drop(s);
-    let _ = std::fs::remove_dir_all(&base);
+        let s = WalStorage::open(&path).expect("stale temp must not block reopen");
+        assert!(!tmp.exists(), "stale compaction temporary must be reaped");
+        let entries = s.load_log(&log).unwrap();
+        assert_eq!(entries.len(), 20, "pre-crash records replay in full");
+        // The next compaction must start from a clean temp slot.
+        s.compact().unwrap();
+        assert!(!tmp.exists(), "temp is consumed by the rename");
+        assert_eq!(s.load_log(&log).unwrap().len(), 20);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&base);
+    });
 }
 
 /// Compaction's delete-after-checkpoint racing a crash + recovery reopen:
@@ -384,59 +393,61 @@ fn crash_mid_compaction_reaps_the_half_written_temporary() {
 /// records a second time.
 #[test]
 fn covered_segments_left_by_a_crash_are_reaped_not_replayed() {
-    let base = temp_base("covered-race");
-    std::fs::create_dir_all(&base).unwrap();
-    let path = base.join("journal.wal");
-    let log = StorageKey::new("log");
-    let survivors: Vec<std::path::PathBuf>;
-    {
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_segment_bytes(256)
-            .with_compact_threshold(u64::MAX);
-        for i in 0..20u8 {
-            s.append(&log, &[i; 32]).unwrap();
-        }
-        assert!(s.rotations() > 0);
-        // Stash copies of the sealed segments, run the compaction that
-        // deletes them, then resurrect the copies — exactly the on-disk
-        // state a crash in the delete window leaves behind.
-        let dir = path.parent().unwrap();
-        let mut stash = Vec::new();
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let p = entry.unwrap().path();
-            if p.file_name().unwrap().to_string_lossy().contains(".wal.seg-") {
-                let copy = std::path::PathBuf::from(format!("{}.stash", p.display()));
-                std::fs::copy(&p, &copy).unwrap();
-                stash.push((copy, p));
+    bounded(|| {
+        let base = temp_base("covered-race");
+        std::fs::create_dir_all(&base).unwrap();
+        let path = base.join("journal.wal");
+        let log = StorageKey::new("log");
+        let survivors: Vec<std::path::PathBuf>;
+        {
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_segment_bytes(256)
+                .with_compact_threshold(u64::MAX);
+            for i in 0..20u8 {
+                s.append(&log, &[i; 32]).unwrap();
             }
+            assert!(s.rotations() > 0);
+            // Stash copies of the sealed segments, run the compaction that
+            // deletes them, then resurrect the copies — exactly the on-disk
+            // state a crash in the delete window leaves behind.
+            let dir = path.parent().unwrap();
+            let mut stash = Vec::new();
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let p = entry.unwrap().path();
+                if p.file_name().unwrap().to_string_lossy().contains(".wal.seg-") {
+                    let copy = std::path::PathBuf::from(format!("{}.stash", p.display()));
+                    std::fs::copy(&p, &copy).unwrap();
+                    stash.push((copy, p));
+                }
+            }
+            assert!(!stash.is_empty(), "need sealed segments to stash");
+            s.compact().unwrap();
+            survivors = stash
+                .into_iter()
+                .map(|(copy, orig)| {
+                    std::fs::rename(&copy, &orig).unwrap();
+                    orig
+                })
+                .collect();
         }
-        assert!(!stash.is_empty(), "need sealed segments to stash");
-        s.compact().unwrap();
-        survivors = stash
-            .into_iter()
-            .map(|(copy, orig)| {
-                std::fs::rename(&copy, &orig).unwrap();
-                orig
-            })
-            .collect();
-    }
 
-    let s = WalStorage::open(&path).expect("reopen with resurrected segments");
-    for p in &survivors {
-        assert!(!p.exists(), "covered segment {} must be reaped", p.display());
-    }
-    let entries = s.load_log(&log).unwrap();
-    assert_eq!(
-        entries.len(),
-        20,
-        "covered segments must not replay their records twice"
-    );
-    for (i, e) in entries.iter().enumerate() {
-        assert_eq!(e, &vec![i as u8; 32], "record {i} appears exactly once");
-    }
-    drop(s);
-    let _ = std::fs::remove_dir_all(&base);
+        let s = WalStorage::open(&path).expect("reopen with resurrected segments");
+        for p in &survivors {
+            assert!(!p.exists(), "covered segment {} must be reaped", p.display());
+        }
+        let entries = s.load_log(&log).unwrap();
+        assert_eq!(
+            entries.len(),
+            20,
+            "covered segments must not replay their records twice"
+        );
+        for (i, e) in entries.iter().enumerate() {
+            assert_eq!(e, &vec![i as u8; 32], "record {i} appears exactly once");
+        }
+        drop(s);
+        let _ = std::fs::remove_dir_all(&base);
+    });
 }
 
 /// Compaction writes the base from the in-memory view and never reads a
@@ -445,32 +456,34 @@ fn covered_segments_left_by_a_crash_are_reaped_not_replayed() {
 /// journal reopens to the committed state.
 #[test]
 fn compaction_does_not_read_sealed_segments_back() {
-    let base = temp_base("no-disk-reads");
-    std::fs::create_dir_all(&base).unwrap();
-    let path = base.join("journal.wal");
-    let log = StorageKey::new("log");
-    let seg1 = std::path::PathBuf::from(format!("{}.seg-{:08}", path.display(), 1));
-    {
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_segment_bytes(256)
-            .with_compact_threshold(u64::MAX);
-        s.append(&log, &[7u8; 300]).unwrap(); // seals as seg-1
-        s.append(&log, b"active").unwrap();
-        assert_eq!(s.layout().sealed_segments, 1);
-        let len = std::fs::metadata(&seg1).unwrap().len() as usize;
-        std::fs::write(&seg1, vec![0xA5; len]).unwrap();
-        s.compact().expect("the pass must not read the sealed segment");
-        assert!(!seg1.exists(), "the covered segment is reaped");
-        assert_eq!(s.layout().sealed_segments, 0);
-    }
-    let s = WalStorage::open(&path).expect("the compacted journal reopens");
-    assert_eq!(
-        s.load_log(&log).unwrap(),
-        vec![vec![7u8; 300], b"active".to_vec()]
-    );
-    drop(s);
-    let _ = std::fs::remove_dir_all(&base);
+    bounded(|| {
+        let base = temp_base("no-disk-reads");
+        std::fs::create_dir_all(&base).unwrap();
+        let path = base.join("journal.wal");
+        let log = StorageKey::new("log");
+        let seg1 = std::path::PathBuf::from(format!("{}.seg-{:08}", path.display(), 1));
+        {
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_segment_bytes(256)
+                .with_compact_threshold(u64::MAX);
+            s.append(&log, &[7u8; 300]).unwrap(); // seals as seg-1
+            s.append(&log, b"active").unwrap();
+            assert_eq!(s.layout().sealed_segments, 1);
+            let len = std::fs::metadata(&seg1).unwrap().len() as usize;
+            std::fs::write(&seg1, vec![0xA5; len]).unwrap();
+            s.compact().expect("the pass must not read the sealed segment");
+            assert!(!seg1.exists(), "the covered segment is reaped");
+            assert_eq!(s.layout().sealed_segments, 0);
+        }
+        let s = WalStorage::open(&path).expect("the compacted journal reopens");
+        assert_eq!(
+            s.load_log(&log).unwrap(),
+            vec![vec![7u8; 300], b"active".to_vec()]
+        );
+        drop(s);
+        let _ = std::fs::remove_dir_all(&base);
+    });
 }
 
 /// One log spread over all three layers — entries in the base, in sealed
@@ -479,44 +492,46 @@ fn compaction_does_not_read_sealed_segments_back() {
 /// and a log that live in the base.
 #[test]
 fn a_log_spanning_base_sealed_and_active_replays_once_and_removes_land() {
-    let base = temp_base("span-layers");
-    std::fs::create_dir_all(&base).unwrap();
-    let path = base.join("journal.wal");
-    let log = StorageKey::new("log");
-    let doomed = StorageKey::new("doomed");
-    let entries: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40]).collect();
-    {
-        let s = WalStorage::open(&path)
-            .unwrap()
-            .with_segment_bytes(256)
-            .with_compact_threshold(u64::MAX);
-        s.store(&doomed, b"slot").unwrap();
-        s.append(&doomed, b"entry").unwrap();
-        for entry in &entries[..4] {
-            s.append(&log, entry).unwrap();
+    bounded(|| {
+        let base = temp_base("span-layers");
+        std::fs::create_dir_all(&base).unwrap();
+        let path = base.join("journal.wal");
+        let log = StorageKey::new("log");
+        let doomed = StorageKey::new("doomed");
+        let entries: Vec<Vec<u8>> = (0..16u8).map(|i| vec![i; 40]).collect();
+        {
+            let s = WalStorage::open(&path)
+                .unwrap()
+                .with_segment_bytes(256)
+                .with_compact_threshold(u64::MAX);
+            s.store(&doomed, b"slot").unwrap();
+            s.append(&doomed, b"entry").unwrap();
+            for entry in &entries[..4] {
+                s.append(&log, entry).unwrap();
+            }
+            s.compact().unwrap();
+            for entry in &entries[4..] {
+                s.append(&log, entry).unwrap();
+            }
+            s.remove(&doomed).unwrap();
+            let layout = s.layout();
+            assert!(layout.base_bytes > 0, "part of the log lives in the base");
+            assert!(layout.sealed_segments > 0, "part lives in sealed segments");
+            assert!(layout.active_bytes > 0, "the remove sits in the active tail");
         }
+        let s = WalStorage::open(&path).unwrap();
+        assert_eq!(s.load_log(&log).unwrap(), entries);
+        assert_eq!(s.load(&doomed).unwrap(), None);
+        assert!(s.load_log(&doomed).unwrap().is_empty());
+        // Folding the lot into a fresh base keeps the same view.
         s.compact().unwrap();
-        for entry in &entries[4..] {
-            s.append(&log, entry).unwrap();
-        }
-        s.remove(&doomed).unwrap();
-        let layout = s.layout();
-        assert!(layout.base_bytes > 0, "part of the log lives in the base");
-        assert!(layout.sealed_segments > 0, "part lives in sealed segments");
-        assert!(layout.active_bytes > 0, "the remove sits in the active tail");
-    }
-    let s = WalStorage::open(&path).unwrap();
-    assert_eq!(s.load_log(&log).unwrap(), entries);
-    assert_eq!(s.load(&doomed).unwrap(), None);
-    assert!(s.load_log(&doomed).unwrap().is_empty());
-    // Folding the lot into a fresh base keeps the same view.
-    s.compact().unwrap();
-    drop(s);
-    let s = WalStorage::open(&path).unwrap();
-    assert_eq!(s.load_log(&log).unwrap(), entries);
-    assert_eq!(s.keys().unwrap(), vec![log]);
-    drop(s);
-    let _ = std::fs::remove_dir_all(&base);
+        drop(s);
+        let s = WalStorage::open(&path).unwrap();
+        assert_eq!(s.load_log(&log).unwrap(), entries);
+        assert_eq!(s.keys().unwrap(), vec![log]);
+        drop(s);
+        let _ = std::fs::remove_dir_all(&base);
+    });
 }
 
 /// End to end, the periodic checkpoint write grows with the *delta* (new
@@ -717,39 +732,41 @@ fn wal_commit_loop(segmented: bool, messages: usize) -> WalRun {
 /// keeps the footprint at the live state instead of the history.
 #[test]
 fn segmented_wal_keeps_fsyncs_per_message_flat_and_the_footprint_bounded() {
-    const SIZES: [usize; 2] = [1_000, 10_000];
-    let segmented = SIZES.map(|n| wal_commit_loop(true, n));
-    let monolithic = SIZES.map(|n| wal_commit_loop(false, n));
+    bounded(|| {
+        const SIZES: [usize; 2] = [1_000, 10_000];
+        let segmented = SIZES.map(|n| wal_commit_loop(true, n));
+        let monolithic = SIZES.map(|n| wal_commit_loop(false, n));
 
-    for (mode, runs) in [("segmented", &segmented), ("monolithic", &monolithic)] {
-        let [small, large] = [0, 1].map(|i| runs[i].sync_ops as f64 / SIZES[i] as f64);
+        for (mode, runs) in [("segmented", &segmented), ("monolithic", &monolithic)] {
+            let [small, large] = [0, 1].map(|i| runs[i].sync_ops as f64 / SIZES[i] as f64);
+            assert!(
+                small.max(large) <= small.min(large) * 1.5,
+                "{mode}: fsyncs/msg must stay flat across sizes: {small} vs {large}"
+            );
+        }
+        for (seg, mono) in segmented.iter().zip(&monolithic) {
+            assert!(
+                seg.rotations > 0 && seg.compactions > 0,
+                "segmented must rotate and compact: {seg:?}"
+            );
+            // A seal pays at most two barriers (the pulled-forward fsync and the
+            // directory barrier) and a compaction pass three (the base's fsync,
+            // the rename's and the reap's directory barriers).
+            let extra = seg.sync_ops.saturating_sub(mono.sync_ops);
+            assert!(
+                extra <= 3 * (seg.rotations + seg.compactions),
+                "{extra} extra barriers: {seg:?} vs {mono:?}"
+            );
+        }
         assert!(
-            small.max(large) <= small.min(large) * 1.5,
-            "{mode}: fsyncs/msg must stay flat across sizes: {small} vs {large}"
+            segmented[1].disk_bytes <= 4 * segmented[0].disk_bytes,
+            "10x the messages must not mean 10x the journal: {segmented:?}"
         );
-    }
-    for (seg, mono) in segmented.iter().zip(&monolithic) {
         assert!(
-            seg.rotations > 0 && seg.compactions > 0,
-            "segmented must rotate and compact: {seg:?}"
+            segmented[1].disk_bytes * 10 <= monolithic[1].disk_bytes,
+            "compaction must reclaim the history: {:?} vs {:?}",
+            segmented[1],
+            monolithic[1]
         );
-        // A seal pays at most two barriers (the pulled-forward fsync and the
-        // directory barrier) and a compaction pass three (the base's fsync,
-        // the rename's and the reap's directory barriers).
-        let extra = seg.sync_ops.saturating_sub(mono.sync_ops);
-        assert!(
-            extra <= 3 * (seg.rotations + seg.compactions),
-            "{extra} extra barriers: {seg:?} vs {mono:?}"
-        );
-    }
-    assert!(
-        segmented[1].disk_bytes <= 4 * segmented[0].disk_bytes,
-        "10x the messages must not mean 10x the journal: {segmented:?}"
-    );
-    assert!(
-        segmented[1].disk_bytes * 10 <= monolithic[1].disk_bytes,
-        "compaction must reclaim the history: {:?} vs {:?}",
-        segmented[1],
-        monolithic[1]
-    );
+    });
 }
