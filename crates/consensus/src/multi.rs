@@ -133,7 +133,7 @@ impl<V: ConsensusValue> MultiConsensus<V> {
             return;
         }
         let me = ctx.me();
-        let is_leader = self.fd.leader(me) == me;
+        let is_leader = self.leader(me) == me;
         let instance = self
             .instances
             .entry(k)
@@ -151,6 +151,14 @@ impl<V: ConsensusValue> MultiConsensus<V> {
         if is_leader && !instance.is_decided() {
             instance.tick(true, &mut inst_ctx);
         }
+    }
+
+    /// The Ω leader as `me` currently sees it: the process whose ballots
+    /// decide, and so the one whose `Unordered` set a new message should
+    /// reach first.
+    #[inline]
+    pub fn leader(&self, me: ProcessId) -> ProcessId {
+        self.fd.leader(me)
     }
 
     /// The paper's `decided(k)`: the decision of instance `k`, if known
@@ -290,7 +298,7 @@ impl<V: ConsensusValue> MultiConsensus<V> {
             return (false, Vec::new());
         }
         let me = ctx.me();
-        let is_leader = self.fd.leader(me) == me;
+        let is_leader = self.leader(me) == me;
         let mut decided = Vec::new();
         for (k, instance) in self.instances.iter_mut() {
             if instance.is_decided() {
@@ -686,6 +694,30 @@ mod tests {
         // At or above the floor, proposing works normally.
         multi.propose(Round::new(3), 3, &mut ctx);
         assert!(multi.has_proposed(Round::new(3)));
+    }
+
+    /// `leader` is the embedded detector's Ω output: the lowest process
+    /// `me` trusts, `me` included.
+    #[test]
+    fn leader_is_the_lowest_trusted_process() {
+        let mut multi: MultiConsensus<u64> = MultiConsensus::new(ConsensusConfig::default());
+        let (p0, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+        let mut ctx = abcast_net::testkit::ScriptedContext::new(p2, 3);
+        multi.on_start(&mut ctx).unwrap();
+        assert_eq!(multi.leader(p2), p0, "everyone is trusted at the start");
+        let heartbeat = || ConsensusMsg::Fd(abcast_fd::FdMessage::Heartbeat { epoch: 1 });
+        // p0 falls silent past its timeout; p1 keeps heartbeating.
+        ctx.advance(SimDuration::from_millis(100));
+        multi.on_message(p1, heartbeat(), &mut ctx);
+        multi.on_timer(abcast_fd::FD_TICK, &mut ctx);
+        assert_eq!(multi.leader(p2), p1);
+        // Both fall silent: the only trusted process left is p2 itself.
+        ctx.advance(SimDuration::from_millis(100));
+        multi.on_timer(abcast_fd::FD_TICK, &mut ctx);
+        assert_eq!(multi.leader(p2), p2);
+        // A heartbeat from p0 proves its suspicion premature.
+        multi.on_message(p0, heartbeat(), &mut ctx);
+        assert_eq!(multi.leader(p2), p0);
     }
 
     /// An *undecided* instance below the watermark survives

@@ -19,11 +19,21 @@
 //! |-------|------|
 //! | `upon A-broadcast(m)` | [`AtomicBroadcast::a_broadcast`] / `on_client_request` |
 //! | sequencer task | the internal `try_advance` step, re-run after every event |
-//! | gossip task | the [`GOSSIP_TIMER`] handler |
+//! | gossip task | the [`GOSSIP_TIMER`] handler, plus a forward on arrival (below) |
 //! | checkpoint task (Fig. 4) | the [`CHECKPOINT_TIMER`] handler |
 //! | `upon receive gossip/state` | [`Actor::on_message`] |
 //! | `upon initialization or recovery` | [`Actor::on_start`] |
 //! | `A-deliver-sequence()` | [`AtomicBroadcast::agreed`] / [`AtomicBroadcast::delivered_messages`] |
+//!
+//! Only the Ω leader's proposals get decided, so in Figure 2 a message
+//! A-broadcast at a follower waits for the follower's next gossip tick
+//! before any sequencer that matters can propose it.  Here a follower also
+//! sends each new message straight to the leader as a one-message
+//! `gossip(k_p, {m})` — a partial Figure 2 gossip, handled like any other.
+//! At most one such forward is in flight: while the message forwarded last
+//! is still in `Unordered` (and the leader has not changed), a new message
+//! waits for the tick instead.  The periodic gossip stays as the repair
+//! path for lost forwards and for everything the rule holds back.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -156,6 +166,10 @@ pub struct AtomicBroadcast {
     unordered: UnorderedSet,
     agreed: AgreedQueue,
     gossip_k: Round,
+    /// The message this process last forwarded to the Ω leader on
+    /// A-broadcast, and that leader.  Volatile: after a crash the next
+    /// A-broadcast simply forwards again.
+    last_forward: Option<(MsgId, ProcessId)>,
     /// Decisions learned for rounds above `kp`, waiting for the lower
     /// rounds to commit.  With pipelining (`pipeline_depth > 1`) instances
     /// `kp .. kp + W` decide in arbitrary order; this buffer is what keeps
@@ -242,6 +256,7 @@ impl AtomicBroadcast {
             unordered: UnorderedSet::new(),
             agreed: AgreedQueue::new(),
             gossip_k: Round::ZERO,
+            last_forward: None,
             decisions: DecisionBuffer::new(),
             next_seq: 0,
             epoch_established: false,
@@ -328,13 +343,49 @@ impl AtomicBroadcast {
         let message = AppMessage::new(id, payload);
         self.metrics.broadcasts += 1;
         if !self.agreed.contains(id) {
-            self.unordered.insert(message);
+            self.unordered.insert(message.clone());
         }
         if self.config.logging.logs_unordered() {
             self.persist_unordered(ctx);
         }
+        self.forward_to_leader(message, ctx);
         self.try_advance(ctx);
         id
+    }
+
+    /// Dissemination on arrival: a follower sends a new message straight to
+    /// the Ω leader, whose sequencer can propose it at once instead of
+    /// after this process's next gossip tick.  One forward is in flight at
+    /// a time — skipped while the message forwarded last is still in
+    /// `Unordered`, unless that one went to a different leader — so a
+    /// burst of requests costs the leader one gossip (and, for a follower
+    /// lagging by more than Δ, one state reply), not one per request.  The
+    /// held-back messages reach the leader with the periodic gossip.
+    ///
+    /// Kept out of line: inlined into `broadcast_step`, it moved two of
+    /// this crate's O(history) `Agreed` scans across 64-byte boundaries,
+    /// which cost the closed-loop benchmark workloads 15–25 % (README
+    /// "Dissemination").
+    #[inline(never)]
+    fn forward_to_leader(&mut self, message: AppMessage, ctx: &mut dyn ActorContext<AbcastMsg>) {
+        let me = ctx.me();
+        let leader = self.consensus.leader(me);
+        if leader == me {
+            return;
+        }
+        if let Some((last, to)) = self.last_forward {
+            if to == leader && self.unordered.contains(last) {
+                return;
+            }
+        }
+        self.last_forward = Some((message.id(), leader));
+        ctx.send(
+            leader,
+            AbcastMsg::Gossip {
+                round: self.kp,
+                unordered: vec![message],
+            },
+        );
     }
 
     /// `A-deliver-sequence()`: the delivery sequence of this process.
@@ -2328,6 +2379,117 @@ mod tests {
         actor.on_client_request(bytes::Bytes::from_static(b"payload"), &mut ctx);
         assert_eq!(actor.metrics().broadcasts, 1);
         assert_eq!(actor.unordered_len(), 1);
+    }
+
+    /// The gossips `ctx` recorded as sent to `to`, as the ids each
+    /// carried.
+    fn forwards_to(ctx: &Ctx, to: u32) -> Vec<Vec<MsgId>> {
+        ctx.sent
+            .iter()
+            .filter(|(p, _)| *p == ProcessId::new(to))
+            .filter_map(|(_, m)| match m {
+                AbcastMsg::Gossip { unordered, .. } => {
+                    Some(unordered.iter().map(AppMessage::id).collect())
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_follower_forwards_a_new_message_to_the_leader_alone() {
+        let mut ctx = ctx_for(1, 3);
+        let mut actor = basic_actor();
+        actor.on_start(&mut ctx);
+        ctx.clear_effects();
+        let id = actor.a_broadcast(b"m".to_vec(), &mut ctx);
+        assert_eq!(actor.consensus.leader(ProcessId::new(1)), ProcessId::new(0));
+        assert_eq!(forwards_to(&ctx, 0), vec![vec![id]], "one gossip, only the new message");
+        assert!(
+            ctx.sent.iter().all(|(p, m)| *p == ProcessId::new(0) || !m.is_gossip()),
+            "nobody but the leader gets it"
+        );
+        assert!(ctx.multisent.iter().all(|m| !m.is_gossip()), "the tick's multisend waits");
+    }
+
+    #[test]
+    fn a_second_message_waits_while_the_first_forward_is_unordered() {
+        let mut ctx = ctx_for(1, 3);
+        let mut actor = basic_actor();
+        actor.on_start(&mut ctx);
+        let first = actor.a_broadcast(b"1".to_vec(), &mut ctx);
+        ctx.clear_effects();
+        actor.a_broadcast(b"2".to_vec(), &mut ctx);
+        assert!(forwards_to(&ctx, 0).is_empty(), "the first forward is still in flight");
+        // Once the first message is ordered, the next one goes out again.
+        let ordered = AppMessage::from_parts(first.sender, first.seq, b"1".to_vec());
+        actor.on_message(ProcessId::new(0), decided(0, vec![ordered]), &mut ctx);
+        assert!(!actor.unordered.contains(first));
+        ctx.clear_effects();
+        let third = actor.a_broadcast(b"3".to_vec(), &mut ctx);
+        assert_eq!(forwards_to(&ctx, 0), vec![vec![third]]);
+    }
+
+    #[test]
+    fn a_leader_change_reopens_the_forward_to_the_new_leader() {
+        let mut ctx = ctx_for(2, 3);
+        let mut actor = basic_actor();
+        actor.on_start(&mut ctx);
+        actor.a_broadcast(b"1".to_vec(), &mut ctx);
+        // p0 falls silent past its suspicion timeout while p1 keeps
+        // heartbeating: the Ω output moves to p1.
+        ctx.advance(SimDuration::from_millis(100));
+        let heartbeat = AbcastMsg::Consensus(ConsensusMsg::Fd(abcast_fd::FdMessage::Heartbeat {
+            epoch: 1,
+        }));
+        actor.on_message(ProcessId::new(1), heartbeat, &mut ctx);
+        actor.on_timer(TimerId::new(CONSENSUS_TIMER_BASE), &mut ctx);
+        assert_eq!(actor.consensus.leader(ProcessId::new(2)), ProcessId::new(1));
+        ctx.clear_effects();
+        // The first message is still unordered, but it went to p0.
+        let second = actor.a_broadcast(b"2".to_vec(), &mut ctx);
+        assert_eq!(forwards_to(&ctx, 1), vec![vec![second]]);
+        assert!(forwards_to(&ctx, 0).is_empty());
+    }
+
+    #[test]
+    fn the_leader_never_forwards() {
+        let mut ctx = ctx_for(0, 3);
+        let mut actor = basic_actor();
+        actor.on_start(&mut ctx);
+        ctx.clear_effects();
+        for i in 0..3u8 {
+            actor.a_broadcast(vec![i], &mut ctx);
+        }
+        assert!(ctx.sent.iter().all(|(_, m)| !m.is_gossip()));
+        assert!(ctx.multisent.iter().all(|m| !m.is_gossip()));
+    }
+
+    #[test]
+    fn a_lagging_follower_costs_the_leader_one_state_reply_per_burst() {
+        // The leader is 5 rounds ahead (Δ = 3), so every gossip the
+        // follower sends it is answered with a state transfer.
+        let mut leader_ctx = ctx_for(0, 3);
+        let mut leader = alternative_actor();
+        leader.on_start(&mut leader_ctx);
+        for k in 0..5u64 {
+            let m = AppMessage::from_parts(ProcessId::new(2), k, vec![k as u8]);
+            leader.on_message(ProcessId::new(2), decided(k, vec![m]), &mut leader_ctx);
+        }
+        let mut ctx = ctx_for(1, 3);
+        let mut follower = alternative_actor();
+        follower.on_start(&mut ctx);
+        ctx.clear_effects();
+        for i in 0..50u8 {
+            follower.on_client_request(bytes::Bytes::from(vec![i]), &mut ctx);
+        }
+        assert_eq!(forwards_to(&ctx, 0).len(), 1, "50 requests, one forward");
+        for (to, msg) in ctx.sent.drain(..) {
+            if to == ProcessId::new(0) {
+                leader.on_message(ProcessId::new(1), msg, &mut leader_ctx);
+            }
+        }
+        assert_eq!(leader.metrics().state_transfers_sent, 1);
     }
 
     #[test]

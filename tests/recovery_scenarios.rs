@@ -120,8 +120,8 @@ fn long_outage_uses_state_transfer_and_skips_rounds() {
     assert_eq!(
         cells,
         [
-            (30, (62_843, 0, 0), (21_236, 27, 1)),
-            (300, (484_373, 0, 0), (22_412, 270, 1)),
+            (30, (45_196, 0, 0), (22_123, 26, 1)),
+            (300, (518_114, 0, 0), (21_347, 292, 1)),
         ]
     );
 }
@@ -169,8 +169,8 @@ fn agreed_checkpoints_bound_the_replay_on_recovery() {
     assert_eq!(
         cells,
         [
-            (50, (45, 6_732, 0), (1, 2_740, 8)),
-            (200, (180, 27_052, 0), (1, 2_740, 32)),
+            (50, (50, 5_872, 0), (0, 1_952, 8)),
+            (200, (200, 23_400, 0), (0, 1_996, 32)),
         ]
     );
 }

@@ -654,10 +654,10 @@ fn application_checkpoints_bound_the_storage_footprint() {
         max_bytes,
         app_checkpoints,
     };
-    assert_eq!(short_without, pinned(84_136, 84_136, 0), "80 messages, no app checkpoints");
-    assert_eq!(short_with, pinned(20_888, 42_220, 4), "80 messages, app checkpoints");
-    assert_eq!(long_without, pinned(629_520, 629_520, 0), "600 messages, no app checkpoints");
-    assert_eq!(long_with, pinned(15_468, 22_688, 25), "600 messages, app checkpoints");
+    assert_eq!(short_without, pinned(82_400, 82_400, 0), "80 messages, no app checkpoints");
+    assert_eq!(short_with, pinned(14_252, 36_540, 4), "80 messages, app checkpoints");
+    assert_eq!(long_without, pinned(614_808, 614_808, 0), "600 messages, no app checkpoints");
+    assert_eq!(long_with, pinned(9_240, 25_384, 25), "600 messages, app checkpoints");
 }
 
 /// Counts of one storage-level commit loop (see [`wal_commit_loop`]).
